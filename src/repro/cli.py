@@ -37,8 +37,9 @@ ground truth. Examples::
     tafloc-repro query --day 45 --frames 5
     tafloc-repro --scenario warehouse query --cells 3 17 42 --day 30
 
-``serve --listen`` turns the demo into a real network service: an HTTP
-(and/or unix-socket) front-end speaking the JSON protocol of
+``serve --listen`` turns the demo into a real network service: one
+server answering HTTP/1.1 and NDJSON on one port (plus an optional unix
+socket) with the JSON protocol of
 :mod:`repro.serve.protocol`, optionally sharded across worker processes
 (``--shards``) and kept fresh by the staleness-driven update scheduler
 (``--refresh-policy`` + ``--days-per-second`` simulation clock); ``query
@@ -67,6 +68,7 @@ any job count). Example::
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
 import tempfile
 import time
@@ -96,13 +98,11 @@ from repro.loadgen import (
 from repro.loadgen.driver import expected_answers
 from repro.serve import (
     AioFrontend,
-    HttpFrontend,
     LocalizationService,
     SchedulerConfig,
     ServiceClient,
     ShardedService,
     SimClock,
-    UnixFrontend,
     UpdateScheduler,
 )
 from repro.sim.collector import RssCollector
@@ -310,7 +310,7 @@ def _serve_specs(args: argparse.Namespace) -> Dict[str, ScenarioSpec]:
 
 
 def _serve_listen(args: argparse.Namespace, specs: Dict[str, ScenarioSpec]) -> int:
-    """The ``serve --listen`` path: wire front-end(s) over the site fleet."""
+    """The ``serve --listen`` path: the wire server over the site fleet."""
     replicas = getattr(args, "replicas", 1)
     snapshot_dir = getattr(args, "snapshot_dir", None)
     snapshot_keep = getattr(args, "snapshot_keep", None)
@@ -350,94 +350,92 @@ def _serve_listen(args: argparse.Namespace, specs: Dict[str, ScenarioSpec]) -> i
         backend = LocalizationService.from_specs(
             specs, seed=args.seed, **kwargs
         )
-    start = time.perf_counter()
-    backend.warm()
-    print(
-        f"warmed {len(specs)} site(s) in {time.perf_counter() - start:.2f}s"
-        + (
-            f" across {args.shards} shard worker(s)"
-            + (f", {replicas} replica(s) per site" if replicas > 1 else "")
-            if args.shards
-            else ""
-        )
-        + (f", snapshots in {snapshot_dir}" if snapshot_dir else "")
-    )
-    if args.shards and scrub_interval > 0:
-        backend.start_scrub(interval_seconds=scrub_interval)
+    frontend = scheduler = None
+    # SIGTERM (what supervisors send) takes the same graceful path as
+    # Ctrl-C: the finally below stops the scheduler, the server and every
+    # shard worker instead of orphaning them.
+    previous_sigterm = signal.signal(signal.SIGTERM, _raise_interrupt)
+    try:
+        start = time.perf_counter()
+        backend.warm()
         print(
-            f"anti-entropy scrub every {scrub_interval:g}s, "
-            f"read mode {read_mode}"
-            + (", degraded-mode serving on" if degraded else "")
+            f"warmed {len(specs)} site(s) in "
+            f"{time.perf_counter() - start:.2f}s"
+            + (
+                f" across {args.shards} shard worker(s)"
+                + (f", {replicas} replica(s) per site" if replicas > 1 else "")
+                if args.shards
+                else ""
+            )
+            + (f", snapshots in {snapshot_dir}" if snapshot_dir else "")
         )
-    for day in args.update_days:
-        for site in specs:
-            backend.update(site, float(day))
-    frontends = []
-    if getattr(args, "transport", "thread") == "aio":
-        # One event loop serves both endpoints: --listen's host:port as
-        # tcp:// (ephemeral port when only --unix was given) plus the
-        # unix socket. Pipelined NDJSON; see repro.serve.aio.
+        if args.shards and scrub_interval > 0:
+            backend.start_scrub(interval_seconds=scrub_interval)
+            print(
+                f"anti-entropy scrub every {scrub_interval:g}s, "
+                f"read mode {read_mode}"
+                + (", degraded-mode serving on" if degraded else "")
+            )
+        for day in args.update_days:
+            for site in specs:
+                backend.update(site, float(day))
+        if args.refresh_policy != "off":
+            scheduler = UpdateScheduler(
+                backend,
+                SchedulerConfig(
+                    policy=args.refresh_policy,
+                    interval_days=args.refresh_interval_days,
+                    budget=args.refresh_budget,
+                    drift_threshold_m=args.drift_threshold_m,
+                    snapshot_cadence_days=args.snapshot_cadence_days,
+                ),
+            ).start(
+                SimClock(args.day, args.days_per_second),
+                period_seconds=args.refresh_period_seconds,
+            )
+            threshold = (
+                f"{args.drift_threshold_m:g} m drift"
+                if args.refresh_policy == "drift"
+                else f"{args.refresh_interval_days:g} d"
+            )
+            print(
+                f"refresh scheduler: {args.refresh_policy}, threshold "
+                f"{threshold}, budget "
+                f"{args.refresh_budget or 'unlimited'}, clock "
+                f"{args.days_per_second:g} d/s from day {args.day:g}"
+            )
+        # One server answers NDJSON and HTTP/1.1 on --listen's host:port
+        # (an ephemeral port when only --unix was given), plus the unix
+        # socket when --unix is set.
         host, port = "127.0.0.1", 0
         if args.listen:
             host_text, _, port_text = args.listen.rpartition(":")
             host, port = host_text or "127.0.0.1", int(port_text)
-        frontends.append(
-            AioFrontend(backend, host, port, unix_path=args.unix_socket)
-        )
-    else:
-        if args.listen:
-            host, _, port = args.listen.rpartition(":")
-            frontends.append(
-                HttpFrontend(backend, host or "127.0.0.1", int(port))
-            )
-        if args.unix_socket:
-            frontends.append(UnixFrontend(backend, args.unix_socket))
-    scheduler = None
-    if args.refresh_policy != "off":
-        scheduler = UpdateScheduler(
-            backend,
-            SchedulerConfig(
-                policy=args.refresh_policy,
-                interval_days=args.refresh_interval_days,
-                budget=args.refresh_budget,
-                drift_threshold_m=args.drift_threshold_m,
-                snapshot_cadence_days=args.snapshot_cadence_days,
-            ),
-        ).start(
-            SimClock(args.day, args.days_per_second),
-            period_seconds=args.refresh_period_seconds,
-        )
-        threshold = (
-            f"{args.drift_threshold_m:g} m drift"
-            if args.refresh_policy == "drift"
-            else f"{args.refresh_interval_days:g} d"
-        )
-        print(
-            f"refresh scheduler: {args.refresh_policy}, threshold "
-            f"{threshold}, budget "
-            f"{args.refresh_budget or 'unlimited'}, clock "
-            f"{args.days_per_second:g} d/s from day {args.day:g}"
-        )
-    try:
-        for frontend in frontends:
-            frontend.start()
-            # Flushed eagerly: supervisors (and the CLI test) read the
-            # address from a pipe while the server is still running.
-            print(f"listening at {frontend.address}", flush=True)
-            if getattr(frontend, "unix_address", None):
-                print(f"listening at {frontend.unix_address}", flush=True)
+        frontend = AioFrontend(
+            backend, host, port, unix_path=args.unix_socket
+        ).start()
+        # Flushed eagerly: supervisors (and the CLI test) read the
+        # address from a pipe while the server is still running.
+        for address in (
+            frontend.address,
+            frontend.http_address,
+            frontend.unix_address,
+        ):
+            if address:
+                print(f"listening at {address}", flush=True)
         print("serving (Ctrl-C to stop)", flush=True)
         if args.max_seconds is not None:
             time.sleep(args.max_seconds)
         else:  # pragma: no cover - interactive path
             while True:
                 time.sleep(3600)
-    except KeyboardInterrupt:  # pragma: no cover - interactive path
+    except KeyboardInterrupt:
         pass
     finally:
+        signal.signal(signal.SIGTERM, previous_sigterm)
         if scheduler is not None:
             scheduler.stop()
-        for frontend in frontends:
+        if frontend is not None:
             frontend.close()
         if args.shards:
             backend.close()
@@ -448,6 +446,10 @@ def _serve_listen(args: argparse.Namespace, specs: Dict[str, ScenarioSpec]) -> i
             f"{scheduler.stats.commissions} commission(s)"
         )
     return 0
+
+
+def _raise_interrupt(signum, frame) -> None:
+    raise KeyboardInterrupt
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -651,17 +653,19 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
 
     try:
         with tempfile.TemporaryDirectory() as tmp:
-            frontend = None
-            if args.transport == "http":
-                frontend = HttpFrontend(backend).start()
-            elif args.transport == "unix":
-                frontend = UnixFrontend(
-                    backend, str(Path(tmp) / "loadgen.sock")
+            frontend = address = None
+            if args.transport != "inproc":
+                # One server; the transport picks which of its addresses
+                # the clients dial.
+                frontend = AioFrontend(
+                    backend, unix_path=str(Path(tmp) / "loadgen.sock")
                 ).start()
-            elif args.transport == "aio":
-                frontend = AioFrontend(backend).start()
+                address = {
+                    "http": frontend.http_address,
+                    "unix": frontend.unix_address,
+                    "aio": frontend.address,
+                }[args.transport]
             try:
-                address = frontend.address if frontend is not None else None
 
                 def run_open(rate: float) -> Dict[str, object]:
                     plan = open_plan(rate)
@@ -699,8 +703,8 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
                     if args.transport == "inproc":
                         connect = lambda: _InprocTarget(backend)  # noqa: E731
                     else:
-                        # The sync client speaks http://, unix:// and (for
-                        # the aio front-end) tcp:// alike.
+                        # The sync client speaks http://, unix:// and
+                        # tcp:// alike.
                         connect = lambda: ServiceClient(  # noqa: E731
                             address, retries=0
                         )
@@ -888,22 +892,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--listen", default=None, metavar="HOST:PORT",
-        help="serve the JSON protocol over HTTP instead of running the "
-        "demo (port 0 picks a free port)",
+        help="serve the JSON protocol instead of running the demo (port 0 "
+        "picks a free port). One asyncio server answers both HTTP/1.1 "
+        "(http://host:port: POST /<method>, GET for read-only methods) "
+        "and pipelined NDJSON (tcp://host:port: many in-flight requests "
+        "per connection, streamed query_trace) on that port; answers are "
+        "bit-identical either way",
     )
     serve.add_argument(
         "--unix", dest="unix_socket", default=None, metavar="PATH",
-        help="also (or instead) serve over a unix domain socket",
+        help="also serve over a unix domain socket (unix://PATH); without "
+        "--listen the TCP port is ephemeral",
     )
+    # Accepted so existing command lines keep parsing; selects nothing.
     serve.add_argument(
-        "--transport", choices=["thread", "aio"], default="thread",
-        help="wire front-end flavor: 'thread' = the threaded HTTP/unix "
-        "servers (one handler thread per request); 'aio' = one asyncio "
-        "event loop serving pipelined NDJSON (many in-flight requests "
-        "per connection, matched by request id, streamed query_trace) "
-        "on --listen's host:port as tcp:// plus --unix when given. "
-        "Answers are bit-identical either way; clients connect with "
-        "tcp://host:port (sync or AsyncServiceClient)",
+        "--transport", choices=["aio"], default="aio", help=argparse.SUPPRESS
     )
     serve.add_argument(
         "--shards", type=int, default=0, metavar="N",
@@ -1054,8 +1057,8 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen.add_argument(
         "--transport", default="http",
         choices=["inproc", "http", "unix", "aio"],
-        help="target: in-process service, threaded HTTP/unix front-end, "
-        "or the pipelined asyncio NDJSON front-end",
+        help="target: the in-process service, or the wire server over "
+        "HTTP, unix-socket NDJSON, or pipelined TCP NDJSON (aio)",
     )
     loadgen.add_argument(
         "--shards", type=int, default=0, metavar="N",
@@ -1086,8 +1089,8 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument(
         "--connect", default=None, metavar="URL",
         help="route the batch through a running `serve --listen` server "
-        "(http://host:port, tcp://host:port for --transport aio, or "
-        "unix:///path) instead of in-process",
+        "(http://host:port, tcp://host:port or unix:///path) instead of "
+        "in-process",
     )
     return parser
 

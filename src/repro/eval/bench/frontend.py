@@ -1,4 +1,4 @@
-"""The ``frontend`` bench section: threaded wire front-ends + shards."""
+"""The ``frontend`` bench section: the wire server's sync transports + shards."""
 
 from __future__ import annotations
 
@@ -18,11 +18,10 @@ from repro.eval.bench.common import (
 from repro.eval.bench.registry import BenchSection, register
 from repro.eval.engine import cached_scenario
 from repro.serve import (
-    HttpFrontend,
+    AioFrontend,
     LocalizationService,
     ServiceClient,
     ShardedService,
-    UnixFrontend,
 )
 from repro.sim.collector import CollectionProtocol, RssCollector
 from repro.sim.specs import build_scenario
@@ -46,8 +45,9 @@ def bench_frontend(
 
     Three comparisons, all on the same per-site workloads:
 
-    * **wire vs in-process** — the HTTP and unix-socket transports answer
-      the same single queries and batches as direct
+    * **wire vs in-process** — the wire server's HTTP and unix-socket
+      NDJSON transports, driven one request at a time by the sync
+      client, answer the same single queries and batches as direct
       :class:`~repro.serve.service.LocalizationService` calls;
       ``wire_overhead_x`` is in-process single-query throughput over HTTP
       single-query throughput (i.e. what one JSON round trip costs), and
@@ -144,31 +144,24 @@ def bench_frontend(
             ),
         }
 
-    with HttpFrontend(service) as frontend:
-        with ServiceClient(frontend.address) as client:
-            for site, rates in wire_rates(client).items():
-                row = record["per_site"][site]
-                row["http_batch_qps"] = rates["batch_qps"]
-                row["http_single_qps"] = rates["single_qps"]
-                row["http_roundtrip_ms"] = rates["roundtrip_ms"]
-                row["http_latency"] = rates["latency"]
-                row["http_bit_identical"] = rates["bit_identical"]
-                row["wire_overhead_x"] = (
-                    row["inproc_single_qps"] / rates["single_qps"]
-                    if rates["single_qps"] > 0
-                    else float("inf")
-                )
-
     with tempfile.TemporaryDirectory() as tmp:
-        with UnixFrontend(service, str(Path(tmp) / "bench.sock")) as frontend:
-            with ServiceClient(frontend.address) as client:
-                for site, rates in wire_rates(client).items():
-                    row = record["per_site"][site]
-                    row["unix_batch_qps"] = rates["batch_qps"]
-                    row["unix_single_qps"] = rates["single_qps"]
-                    row["unix_roundtrip_ms"] = rates["roundtrip_ms"]
-                    row["unix_latency"] = rates["latency"]
-                    row["unix_bit_identical"] = rates["bit_identical"]
+        path = str(Path(tmp) / "bench.sock")
+        with AioFrontend(service, unix_path=path) as frontend:
+            for transport, address in (
+                ("http", frontend.http_address),
+                ("unix", frontend.unix_address),
+            ):
+                with ServiceClient(address) as client:
+                    for site, rates in wire_rates(client).items():
+                        row = record["per_site"][site]
+                        for key, value in rates.items():
+                            row[f"{transport}_{key}"] = value
+    for row in record["per_site"].values():
+        row["wire_overhead_x"] = (
+            row["inproc_single_qps"] / row["http_single_qps"]
+            if row["http_single_qps"] > 0
+            else float("inf")
+        )
 
     # Shard scaling: fan the per-site batches out to n worker processes.
     requests = [(site, rss, 0.0) for site, rss in workloads.items()]

@@ -19,7 +19,6 @@ from repro.eval.engine import cached_scenario
 from repro.serve import (
     AioFrontend,
     AsyncServiceClient,
-    HttpFrontend,
     LocalizationService,
     ServiceClient,
 )
@@ -101,7 +100,7 @@ def bench_frontend_async(
     trace_multipliers: Sequence[int] = (1, 8),
     stream_chunk: int = 32,
 ) -> Dict[str, object]:
-    """Benchmark the asyncio front-end (:class:`~repro.serve.aio.AioFrontend`).
+    """Benchmark the wire server (:class:`~repro.serve.aio.AioFrontend`).
 
     The closed-loop multi-connection driver: for each count ``c`` in
     ``connections``, ``c`` persistent :class:`AsyncServiceClient`
@@ -110,10 +109,10 @@ def bench_frontend_async(
     recorded — so each row reports p50/p95/p99/max alongside the
     sustained queries/sec (total requests over wall clock), not just a
     mean round trip. Baselines measured on the same host and workloads:
-    in-process singles, the threaded PR-5 HTTP front-end
-    (``speedup_vs_http_x`` is the PR-8 acceptance ratio), and the sync
-    :class:`ServiceClient` over ``tcp://`` one request at a time (what
-    pipelining alone buys over the shared NDJSON protocol).
+    in-process singles, and the sync :class:`ServiceClient` one request
+    at a time over the same server's ``http://`` framing
+    (``speedup_vs_http_x``) and over ``tcp://`` NDJSON (what pipelining
+    alone buys over the shared NDJSON protocol).
     ``trace_streaming`` pushes a short and an N×-longer ``query_trace``
     through the chunked NDJSON path, gating bit-identity with the
     in-process answer and that the client's peak per-message bytes stay
@@ -149,9 +148,7 @@ def bench_frontend_async(
         "per_site": {},
     }
 
-    # In-process + threaded-HTTP baselines on identical workloads; the
-    # HTTP number is the same-host PR-5 figure the aio speedup is
-    # measured against.
+    # In-process baseline on identical workloads.
     for site, head in heads.items():
         single_s = best_of(
             lambda: [service.query(site, frame, 0.0) for frame in head],
@@ -162,39 +159,38 @@ def bench_frontend_async(
                 len(head) / single_s if single_s > 0 else float("inf")
             ),
         }
-    with HttpFrontend(service) as frontend:
-        with ServiceClient(frontend.address) as client:
-            for site, head in heads.items():
-                client.query(site, head[0], 0.0)  # warm up the connection
-                single_s = best_of(
-                    lambda: [client.query(site, frame, 0.0) for frame in head],
-                    repeat,
-                )
-                row = record["per_site"][site]
-                row["http_single_qps"] = (
-                    len(head) / single_s if single_s > 0 else float("inf")
-                )
-                row["http_latency"] = latency_summary(
-                    timed_singles(
-                        lambda frame: client.query(site, frame, 0.0), head
-                    )
-                )
 
     max_sustained = 0.0
     with AioFrontend(service) as frontend:
         address = frontend.address
-        # Sync one-at-a-time over the same NDJSON/TCP path: separates
-        # protocol cost from what pipelining buys on top.
-        with ServiceClient(address) as client:
-            for site, head in heads.items():
-                client.query(site, head[0], 0.0)  # warm up the connection
-                single_s = best_of(
-                    lambda: [client.query(site, frame, 0.0) for frame in head],
-                    repeat,
-                )
-                record["per_site"][site]["aio_sync_single_qps"] = (
-                    len(head) / single_s if single_s > 0 else float("inf")
-                )
+        # Sync one-at-a-time over the server's HTTP framing (the figure
+        # the pipelined speedup is measured against) and over NDJSON on
+        # the same port: separates protocol cost from what pipelining
+        # buys on top.
+        for prefix, url in (
+            ("http", frontend.http_address),
+            ("aio_sync", address),
+        ):
+            with ServiceClient(url) as client:
+                for site, head in heads.items():
+                    client.query(site, head[0], 0.0)  # warm up the connection
+                    single_s = best_of(
+                        lambda: [
+                            client.query(site, frame, 0.0) for frame in head
+                        ],
+                        repeat,
+                    )
+                    row = record["per_site"][site]
+                    row[f"{prefix}_single_qps"] = (
+                        len(head) / single_s if single_s > 0 else float("inf")
+                    )
+                    if prefix == "http":
+                        row["http_latency"] = latency_summary(
+                            timed_singles(
+                                lambda frame: client.query(site, frame, 0.0),
+                                head,
+                            )
+                        )
 
         for site, head in heads.items():
             row = record["per_site"][site]

@@ -37,13 +37,11 @@ from repro.loadgen.slo import find_max_sustained_qps
 from repro.loadgen.soak import run_site_soak
 from repro.serve import (
     AioFrontend,
-    HttpFrontend,
     LocalizationService,
     SchedulerConfig,
     ServiceClient,
     ShardedService,
     SimClock,
-    UnixFrontend,
     UpdateScheduler,
 )
 from repro.sim.collector import CollectionProtocol, RssCollector
@@ -74,9 +72,10 @@ def bench_loadgen(
 ) -> Dict[str, object]:
     """Find max-sustained-q/s under the SLO per (transport, shards).
 
-    For every transport in ``transports`` (``http`` — the threaded PR-5
-    front-end; ``aio`` — the PR-8 pipelined event loop; ``unix`` — the
-    unix-socket transport) crossed with every count in ``shard_counts``
+    For every transport of the one wire server in ``transports``
+    (``http`` — its HTTP/1.1 framing, driven by sync clients; ``aio`` —
+    pipelined NDJSON over TCP; ``unix`` — NDJSON on its unix socket,
+    driven by sync clients) crossed with every count in ``shard_counts``
     (1 = the in-process service backs the front-end directly, n > 1 = a
     :class:`~repro.serve.shard.ShardedService` fleet backs it), an
     open-loop saturation search (:func:`~repro.loadgen.slo.find_max_sustained_qps`)
@@ -148,33 +147,29 @@ def bench_loadgen(
             max_qps=max_qps,
         ).as_dict()
 
-    def drive_http(address: str, rate: float) -> DriverResult:
+    def drive(transport: str, address: str, rate: float) -> DriverResult:
+        if transport == "aio":
+            return run_open_loop_aio(
+                plan_at(rate),
+                address,
+                workloads,
+                expected=expected,
+                connections=2,
+            )
         return run_open_loop(
             plan_at(rate),
             lambda: ServiceClient(address, retries=0),
             workloads,
             expected=expected,
-            transport="http",
+            transport=transport,
         )
 
-    def drive_unix(address: str, rate: float) -> DriverResult:
-        return run_open_loop(
-            plan_at(rate),
-            lambda: ServiceClient(address, retries=0),
-            workloads,
-            expected=expected,
-            transport="unix",
-        )
-
-    def drive_aio(address: str, rate: float) -> DriverResult:
-        return run_open_loop_aio(
-            plan_at(rate),
-            address,
-            workloads,
-            expected=expected,
-            connections=2,
-        )
-
+    for transport in transports:
+        if transport not in ("http", "aio", "unix"):
+            raise ValueError(
+                f"unknown loadgen transport {transport!r} "
+                "(known: http, aio, unix)"
+            )
     for shards in shard_counts:
         if shards == 1:
             backend = reference
@@ -185,35 +180,20 @@ def bench_loadgen(
             backend.warm()
         try:
             for transport in transports:
-                key = f"{transport}-shards{shards}"
-                if transport == "http":
-                    with HttpFrontend(backend) as frontend:
-                        address = frontend.address
-                        result = search_with(
-                            lambda rate: drive_http(address, rate).summary()
-                        )
-                elif transport == "aio":
-                    with AioFrontend(backend) as frontend:
-                        address = frontend.address
-                        result = search_with(
-                            lambda rate: drive_aio(address, rate).summary()
-                        )
-                elif transport == "unix":
-                    with tempfile.TemporaryDirectory() as tmp:
-                        path = str(Path(tmp) / "loadgen.sock")
-                        with UnixFrontend(backend, path) as frontend:
-                            address = frontend.address
-                            result = search_with(
-                                lambda rate: drive_unix(
-                                    address, rate
-                                ).summary()
-                            )
-                else:
-                    raise ValueError(
-                        f"unknown loadgen transport {transport!r} "
-                        "(known: http, aio, unix)"
+                # One wire server per probe series; the transport picks
+                # which of its addresses the driver dials.
+                with tempfile.TemporaryDirectory() as tmp, AioFrontend(
+                    backend, unix_path=str(Path(tmp) / "loadgen.sock")
+                ) as frontend:
+                    address = {
+                        "http": frontend.http_address,
+                        "unix": frontend.unix_address,
+                        "aio": frontend.address,
+                    }[transport]
+                    result = search_with(
+                        lambda rate: drive(transport, address, rate).summary()
                     )
-                record["saturation"][key] = dict(
+                record["saturation"][f"{transport}-shards{shards}"] = dict(
                     result, transport=transport, shards=int(shards)
                 )
         finally:
@@ -229,8 +209,8 @@ def bench_loadgen(
         requests_per_client=max(1, requests // clients),
         zipf_s=zipf_s,
     )
-    with HttpFrontend(reference) as frontend:
-        address = frontend.address
+    with AioFrontend(reference) as frontend:
+        address = frontend.http_address
         record["closed_loop"] = run_closed_loop(
             closed,
             lambda: ServiceClient(address, retries=0),

@@ -8,13 +8,15 @@ per distinct scenario spec (shared by fingerprint);
 the batch matching kernels. On top of the in-process service sit the
 deployment pieces:
 
-* :mod:`repro.serve.frontend` — the threaded wire front-ends (HTTP and
-  unix-socket JSON protocol) plus :class:`~repro.serve.frontend.
-  ServiceClient` (``http://``, ``tcp://``, ``unix://``);
-* :mod:`repro.serve.aio` — the asyncio front-end: one event loop,
-  persistent pipelined NDJSON connections over TCP/unix, streamed
-  ``query_trace``, plus :class:`~repro.serve.aio.AsyncServiceClient`
-  (N requests in flight per connection);
+* :mod:`repro.serve.aio` — the one wire server,
+  :class:`~repro.serve.aio.AioFrontend`: an asyncio event loop answering
+  HTTP/1.1 and pipelined NDJSON on one TCP port (plus an optional unix
+  socket), streamed ``query_trace``, plus
+  :class:`~repro.serve.aio.AsyncServiceClient` (N requests in flight per
+  connection);
+* :mod:`repro.serve.frontend` — the sync
+  :class:`~repro.serve.frontend.ServiceClient` (``http://``, ``tcp://``,
+  ``unix://``) with its retry policy;
 * :mod:`repro.serve.scheduler` — staleness-driven background fingerprint
   refresh (interval / round-robin / priority / drift policies) plus the
   snapshot-lifecycle cadence;
@@ -37,11 +39,9 @@ surface and ``benchmarks/bench_perf.py`` for throughput numbers.
 
 from repro.serve.aio import AioFrontend, AsyncServiceClient
 from repro.serve.frontend import (
-    HttpFrontend,
     RemoteBatchResult,
     RemoteMatchResult,
     ServiceClient,
-    UnixFrontend,
 )
 from repro.serve.manager import (
     SiteManager,
@@ -64,7 +64,6 @@ __all__ = [
     "AioFrontend",
     "AsyncServiceClient",
     "DriftReading",
-    "HttpFrontend",
     "LocalizationService",
     "RemoteBatchResult",
     "RemoteMatchResult",
@@ -77,7 +76,6 @@ __all__ = [
     "SiteManagerStats",
     "SnapshotStore",
     "StaleAnswer",
-    "UnixFrontend",
     "UpdateAction",
     "UpdateScheduler",
     "epochs_digest",

@@ -1,17 +1,30 @@
-"""Asyncio wire front-end: pipelined NDJSON over TCP and unix sockets.
+"""The wire server: one asyncio event loop, NDJSON and HTTP/1.1 on one port.
 
-The PR-5 front-ends cost one thread and one blocking round trip per
-request — ~3.1k q/s single-query over HTTP vs ~20k in-process. This
-module rebuilds the wire path as an event loop:
+* :class:`AioFrontend` — the serving layer's only wire server. One
+  asyncio server (TCP, plus an optional unix socket) answers the
+  protocol of :mod:`repro.serve.protocol` over persistent connections in
+  two framings, chosen once per connection by its first line:
 
-* :class:`AioFrontend` — one asyncio server (TCP, plus an optional unix
-  socket) speaking the NDJSON protocol of :mod:`repro.serve.protocol`
-  over persistent connections. Requests carrying an ``"id"`` are
-  **pipelined**: many may be in flight per connection, responses are
-  matched by the echoed id and may complete out of order. Requests
-  without an id are answered strictly in request order, which keeps the
-  one-at-a-time PR-5 line transports (``tcp://`` / ``unix://`` in
-  :class:`~repro.serve.frontend.ServiceClient`) compatible unchanged.
+  - a line that parses as an HTTP/1.x request line makes the connection
+    **HTTP**: ``POST /<method>`` with a JSON params body (or a bare
+    params object), query-string params merged under body params,
+    ``GET /<method>`` for the read-only
+    :data:`~repro.serve.protocol.GET_METHODS` (handy for ``curl
+    http://host:port/health``), keep-alive under HTTP/1.1, status codes
+    per the serving error contract;
+  - any other line keeps the connection **NDJSON** (newline-delimited
+    JSON): one ``{"method", "params"}`` line in, one ``{"status",
+    "body"}`` line out. Requests carrying an ``"id"`` are
+    **pipelined**: many may be in flight per connection, responses are
+    matched by the echoed id and may complete out of order. Requests
+    without an id are answered strictly in request order, which is what
+    the one-at-a-time ``tcp://`` / ``unix://`` transports of
+    :class:`~repro.serve.frontend.ServiceClient` rely on.
+
+  Both framings bound the bytes buffered for one request
+  (``max_request_bytes``, default 16 MiB): an NDJSON line past the cap,
+  or an HTTP ``Content-Length`` past it, gets a 400 and a severed
+  connection before the excess is read.
 * :class:`AsyncServiceClient` — the asyncio client: one connection, a
   background reader task routing responses to per-request futures, so N
   ``call()`` coroutines naturally keep N requests in flight
@@ -49,9 +62,10 @@ inline than a thread handoff) or ``"offload"`` (:class:`~repro.serve.
 shard.ShardedService` — a routed call can park on a worker pipe, so it
 runs on a thread pool and the loop keeps serving other requests).
 
-Bit-identity with in-process answers is unchanged: same ``dispatch``,
-same JSON float round-trip, same 400/404/409/503 error contract, gated
-by ``serve/check.py --only wire`` across all three transports.
+Bit-identity with in-process answers holds on every transport: same
+``dispatch``, same JSON float round-trip, same 400/404/409/503 error
+contract, gated by ``serve/check.py --only wire`` over ``http://``,
+``tcp://`` and ``unix://``.
 """
 
 from __future__ import annotations
@@ -59,26 +73,28 @@ from __future__ import annotations
 import asyncio
 import itertools
 import os
+import re
 import socket
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from http import HTTPStatus
 from typing import Any, Dict, List, Optional, Tuple, Union
-from urllib.parse import urlsplit
+from urllib.parse import parse_qsl, urlsplit
 
 import numpy as np
 
-from repro.serve.frontend import (
-    DEFAULT_MAX_REQUEST_BYTES,
-    RemoteBatchResult,
-    RemoteMatchResult,
-)
+from repro.serve.frontend import RemoteBatchResult, RemoteMatchResult
 from repro.serve.protocol import (
+    DEFAULT_MAX_REQUEST_BYTES,
     ERROR_TYPES,
+    GET_METHODS,
     STREAM_CHUNK_FRAMES,
     DropResponse,
     decode,
     dispatch,
     encode,
+    error_body,
+    error_status,
     iter_trace_stream,
     merge_trace_stream,
 )
@@ -92,6 +108,16 @@ __all__ = ["AioFrontend", "AsyncServiceClient"]
 #: threads would only contend on the per-shard locks.
 DEFAULT_DISPATCH_WORKERS = 8
 
+#: An HTTP/1.x request line (``VERB SP target SP HTTP/1.x``). An NDJSON
+#: request line is a JSON object and starts with ``{``, so it can never
+#: match: the first line of a connection alone decides its framing.
+_HTTP_REQUEST_LINE = re.compile(
+    rb"([!#$%&'*+.^_`|~0-9A-Za-z-]+) (\S+) HTTP/1\.([0-9])\r?\n"
+)
+
+#: Header lines accepted per HTTP request (the stdlib server's bound).
+_MAX_HTTP_HEADERS = 100
+
 
 def _set_nodelay(writer: asyncio.StreamWriter) -> None:
     sock = writer.get_extra_info("socket")
@@ -99,24 +125,87 @@ def _set_nodelay(writer: asyncio.StreamWriter) -> None:
         socket.AF_INET,
         getattr(socket, "AF_INET6", socket.AF_INET),
     ):
-        # Same reasoning as the threaded front-end: small request/response
-        # pairs stall ~40 ms on Nagle + delayed ACK without this.
+        # Small request/response pairs stall ~40 ms on Nagle + delayed
+        # ACK without this (the clients set it on their half too).
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+
+class _HttpError(Exception):
+    """An HTTP framing error: answer ``status`` and close the connection."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
+
+async def _read_http_line(reader: asyncio.StreamReader, what: str) -> bytes:
+    try:
+        return await reader.readline()
+    except (asyncio.LimitOverrunError, ValueError):
+        raise _HttpError(431, f"HTTP {what} exceeds the size limit") from None
+
+
+def _http_call(verb: bytes, target: str, raw: bytes) -> Tuple[str, Any]:
+    """``(method, params)`` of one HTTP request.
+
+    Raises ``KeyError`` (404) for a ``GET`` on a method that is not
+    read-only, ``ValueError`` (400) for a body that is not a JSON object
+    or whose params are not one. Query-string params merge under body
+    params.
+    """
+    parts = urlsplit(target)
+    method = parts.path.strip("/")
+    params: Dict[str, Any] = dict(parse_qsl(parts.query))
+    if verb == b"GET":
+        if method not in GET_METHODS:
+            raise KeyError(
+                f"GET {target!r} is not routable; POST /<method> "
+                f"(GET serves: {', '.join(GET_METHODS)})"
+            )
+        return method, params
+    body = decode(raw) if raw.strip() else {}
+    body_params = body.get("params", body) or {}
+    if not isinstance(body_params, dict):
+        raise ValueError(
+            "params must be a JSON object, got "
+            f"{type(body_params).__name__}"
+        )
+    params.update(body_params)
+    return method, params
+
+
+async def _http_respond(
+    writer: asyncio.StreamWriter,
+    status: int,
+    body: Dict[str, Any],
+    *,
+    close: bool,
+) -> None:
+    payload = encode(body)
+    head = (
+        f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
+        "Server: tafloc-serve\r\n"
+        "Content-Type: application/json\r\n"
+        f"Content-Length: {len(payload)}\r\n"
+        + ("Connection: close\r\n" if close else "")
+        + "\r\n"
+    )
+    writer.write(head.encode("ascii") + payload)
+    await writer.drain()
 
 
 # ----------------------------------------------------------------------
 # server
 # ----------------------------------------------------------------------
 class AioFrontend:
-    """Asyncio front-end over a service backend (in-process or sharded).
+    """The wire server over a service backend (in-process or sharded).
 
-    The event loop runs on a daemon thread, so the start/stop surface
-    matches the threaded front-ends: ``with AioFrontend(svc) as f:`` for
-    tests and benchmarks, :meth:`serve_forever` to block the calling
-    thread (the CLI ``serve --transport aio`` path). ``port=0`` binds an
-    ephemeral port; read :attr:`address` (``tcp://host:port``) after
-    :meth:`start`. Pass ``unix_path`` to additionally serve the same
-    protocol on a unix socket (:attr:`unix_address`).
+    The event loop runs on a daemon thread: ``with AioFrontend(svc) as
+    f:`` or :meth:`start` / :meth:`close`. ``port=0`` binds an
+    ephemeral port; after :meth:`start` the one TCP port is reachable
+    as :attr:`address` (``tcp://host:port``, NDJSON) and
+    :attr:`http_address` (``http://host:port``). Pass ``unix_path`` to
+    additionally serve on a unix socket (:attr:`unix_address`).
 
     Args:
         backend: Anything with the service query surface. Its
@@ -125,9 +214,9 @@ class AioFrontend:
             dispatch thread pool.
         host/port: TCP bind address (``port=0`` = ephemeral).
         unix_path: Optional unix-socket path to serve as well.
-        max_request_bytes: Per-line request cap; an overlong line gets a
-            400 and a severed connection (mid-line streams cannot
-            resync), mirroring the threaded front-ends.
+        max_request_bytes: Per-request cap: an overlong NDJSON line, HTTP
+            header line or HTTP body gets a 400 and a severed connection
+            (a mid-request stream cannot resync).
         dispatch_workers: Thread-pool width for offload backends.
     """
 
@@ -173,13 +262,6 @@ class AioFrontend:
                 raise error
         return self
 
-    def serve_forever(self) -> None:
-        """Serve, blocking the calling thread (the CLI path)."""
-        self.start()
-        thread = self._thread
-        while thread is not None and thread.is_alive():
-            thread.join(timeout=0.5)
-
     def close(self) -> None:
         thread, self._thread = self._thread, None
         if thread is None:
@@ -212,6 +294,11 @@ class AioFrontend:
     def address(self) -> str:
         """``tcp://host:port`` — feed it to either client class."""
         return f"tcp://{self.host}:{self.port}"
+
+    @property
+    def http_address(self) -> str:
+        """``http://host:port`` — the same port, HTTP/1.1 framing."""
+        return f"http://{self.host}:{self.port}"
 
     @property
     def unix_address(self) -> Optional[str]:
@@ -281,6 +368,7 @@ class AioFrontend:
         lock = asyncio.Lock()
         tasks: set = set()
         uploads: Dict[Any, Dict[str, Any]] = {}
+        routed = False
         try:
             while True:
                 try:
@@ -305,6 +393,13 @@ class AioFrontend:
                     break
                 if not line.strip():
                     continue
+                if not routed:
+                    # The first line picks the framing for the whole
+                    # connection; NDJSON lines never re-check it.
+                    routed = True
+                    if _HTTP_REQUEST_LINE.fullmatch(line):
+                        await self._serve_http(line, reader, writer)
+                        break
                 try:
                     message = decode(line)
                 except ValueError as error:
@@ -525,6 +620,93 @@ class AioFrontend:
         async with lock:
             writer.write(data)
             await writer.drain()
+
+    # -- HTTP/1.1 framing ----------------------------------------------
+    async def _serve_http(self, line: bytes, reader, writer) -> None:
+        """Answer HTTP requests one at a time until the connection ends.
+
+        ``line`` is the request line already read by the router. A
+        framing error (bad request line, header block past its bounds,
+        hostile ``Content-Length``, unsupported verb) gets its status and
+        closes the connection: the rest of the stream cannot be trusted.
+        """
+        try:
+            while line:
+                if line.strip() and not await self._http_exchange(
+                    line, reader, writer
+                ):
+                    return
+                line = await _read_http_line(reader, "request line")
+        except _HttpError as error:
+            await _http_respond(
+                writer,
+                error.status,
+                {"error": "ValueError", "message": str(error)},
+                close=True,
+            )
+        except asyncio.IncompleteReadError:
+            pass  # the peer hung up mid-body
+
+    async def _http_exchange(self, line: bytes, reader, writer) -> bool:
+        """Read, dispatch and answer one request; True = keep alive."""
+        match = _HTTP_REQUEST_LINE.fullmatch(line)
+        if match is None:
+            raise _HttpError(400, f"malformed HTTP request line {line[:80]!r}")
+        verb, target, minor = match.groups()
+        headers: Dict[str, str] = {}
+        header_bytes = 0
+        for _ in range(_MAX_HTTP_HEADERS + 1):
+            header = await _read_http_line(reader, "header line")
+            if not header:
+                return False  # the peer hung up mid-request
+            if not header.strip():
+                break
+            header_bytes += len(header)
+            if header_bytes > self.max_request_bytes:
+                raise _HttpError(431, "HTTP header block exceeds the size limit")
+            name, colon, value = header.decode("latin-1").partition(":")
+            if not colon:
+                raise _HttpError(400, f"malformed HTTP header {header[:80]!r}")
+            headers[name.strip().lower()] = value.strip()
+        else:
+            raise _HttpError(431, f"more than {_MAX_HTTP_HEADERS} header lines")
+        if verb not in (b"GET", b"POST"):
+            raise _HttpError(501, f"unsupported HTTP method {verb.decode()!r}")
+        if "transfer-encoding" in headers:
+            raise _HttpError(501, "send a Content-Length body, not chunked")
+        length_text = headers.get("content-length", "0")
+        if not (length_text.isascii() and length_text.isdigit()):
+            raise _HttpError(
+                400, f"malformed Content-Length {length_text[:80]!r}"
+            )
+        # The digit count is checked first: int() refuses numerals longer
+        # than 4300 digits.
+        if len(length_text) > 18 or int(length_text) > self.max_request_bytes:
+            # Refused before reading a single body byte; the unread body
+            # would desync keep-alive, so the connection closes too.
+            raise _HttpError(
+                400,
+                f"request body of {length_text[:20]} bytes exceeds the "
+                f"{self.max_request_bytes}-byte limit",
+            )
+        length = int(length_text)
+        close = (
+            minor == b"0" or headers.get("connection", "").lower() == "close"
+        )
+        if minor != b"0" and headers.get("expect", "").lower() == "100-continue":
+            writer.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+        raw = await reader.readexactly(length) if length else b""
+        try:
+            method, params = _http_call(verb, target.decode("latin-1"), raw)
+        except (KeyError, ValueError) as error:
+            status, body = error_status(error), error_body(error)
+        else:
+            try:
+                status, body = await self._dispatch(method, params)
+            except DropResponse:
+                return False  # fault injection: sever instead of replying
+        await _http_respond(writer, status, body, close=close)
+        return not close
 
 
 # ----------------------------------------------------------------------

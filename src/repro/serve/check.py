@@ -5,9 +5,9 @@
 ``make resilience-smoke``) stands up the full serving stack at toy scale
 and asserts the contracts everything in this package is built around:
 
-1. **Wire identity** — a query batch routed through a live HTTP server
-   (and through the unix-socket transport, and through the asyncio
-   front-end: one-at-a-time over ``tcp://``, pipelined singles, and the
+1. **Wire identity** — a query batch routed through the live wire
+   server over every transport it answers (HTTP/1.1 and NDJSON on one
+   TCP port, NDJSON on its unix socket, plus pipelined singles and the
    chunk-streamed ``query_trace`` — whose peak per-message bytes must
    also stay flat in trace length) returns cells/positions/scores
    bit-identical to an in-process
@@ -59,7 +59,7 @@ import numpy as np
 from repro.eval.engine import cached_scenario
 from repro.serve.aio import AioFrontend, AsyncServiceClient
 from repro.serve.faults import FaultInjector
-from repro.serve.frontend import HttpFrontend, ServiceClient, UnixFrontend
+from repro.serve.frontend import ServiceClient
 from repro.serve.service import LocalizationService
 from repro.serve.shard import ShardedService
 from repro.sim.collector import CollectionProtocol, RssCollector
@@ -101,6 +101,33 @@ def _identical(wire, reference) -> bool:
             or np.array_equal(wire.scores, reference.scores)
         )
     )
+
+
+def _sync_wire_rows(
+    label: str,
+    address: str,
+    workloads: Dict[str, np.ndarray],
+    reference: Dict[str, object],
+    unknown_probe_site: str,
+) -> List[Tuple[str, bool, str]]:
+    """Batch identity per site plus the 404 -> KeyError contract."""
+    rows: List[Tuple[str, bool, str]] = []
+    with ServiceClient(address) as client:
+        for site, rss in workloads.items():
+            wire = client.query_batch(site, rss, 0.0, include_scores=True)
+            rows.append(
+                (
+                    f"{label}:{site}",
+                    _identical(wire, reference[site]),
+                    f"{address} {wire.frame_count} frames",
+                )
+            )
+        try:
+            client.query_batch("nowhere", workloads[unknown_probe_site], 0.0)
+            rows.append((f"{label}:error-contract", False, "no KeyError"))
+        except KeyError:
+            rows.append((f"{label}:error-contract", True, "404 -> KeyError"))
+    return rows
 
 
 async def _aio_pipeline_rows(
@@ -204,76 +231,32 @@ def run_check(
     }
 
     if "wire" in sections:
-        # 1. HTTP wire identity (+ error contract through the wire).
-        with HttpFrontend(service) as frontend:
-            with ServiceClient(frontend.address) as client:
-                for site, rss in workloads.items():
-                    wire = client.query_batch(
-                        site, rss, 0.0, include_scores=True
-                    )
-                    rows.append(
-                        (
-                            f"http:{site}",
-                            _identical(wire, reference[site]),
-                            f"{frontend.address} {wire.frame_count} frames",
-                        )
-                    )
-                try:
-                    client.query_batch("nowhere", workloads[sites[0]], 0.0)
-                    rows.append(("http:error-contract", False, "no KeyError"))
-                except KeyError:
-                    rows.append(
-                        ("http:error-contract", True, "404 -> KeyError")
-                    )
-
-        # 2. Unix-socket wire identity.
+        # 1. Wire identity on the one server, every transport it
+        # answers: HTTP/1.1 and NDJSON (tcp://) on one port plus the
+        # unix socket, one-at-a-time through the sync client (+ the
+        # error contract through the wire). The async client then covers
+        # pipelined singles and the chunk-streamed trace (identity + flat
+        # peak buffering).
         with tempfile.TemporaryDirectory() as tmp:
             path = str(Path(tmp) / "serve.sock")
-            with UnixFrontend(service, path) as frontend:
-                with ServiceClient(frontend.address) as client:
-                    for site, rss in workloads.items():
-                        wire = client.query_batch(
-                            site, rss, 0.0, include_scores=True
-                        )
-                        rows.append(
-                            (
-                                f"unix:{site}",
-                                _identical(wire, reference[site]),
-                                f"{frames} frames",
-                            )
-                        )
-
-        # 3. Asyncio front-end: the same protocol on an event loop. The
-        # sync client (tcp://) covers one-at-a-time identity plus the
-        # error contract; the async client covers pipelined singles and
-        # the chunk-streamed trace (identity + flat peak buffering).
-        with AioFrontend(service) as frontend:
-            with ServiceClient(frontend.address) as client:
-                for site, rss in workloads.items():
-                    wire = client.query_batch(
-                        site, rss, 0.0, include_scores=True
-                    )
-                    rows.append(
-                        (
-                            f"aio:{site}",
-                            _identical(wire, reference[site]),
-                            f"{frontend.address} {wire.frame_count} frames",
+            with AioFrontend(service, unix_path=path) as frontend:
+                for label, address in (
+                    ("http", frontend.http_address),
+                    ("unix", frontend.unix_address),
+                    ("aio", frontend.address),
+                ):
+                    rows.extend(
+                        _sync_wire_rows(
+                            label, address, workloads, reference, sites[0]
                         )
                     )
-                try:
-                    client.query_batch("nowhere", workloads[sites[0]], 0.0)
-                    rows.append(("aio:error-contract", False, "no KeyError"))
-                except KeyError:
-                    rows.append(
-                        ("aio:error-contract", True, "404 -> KeyError")
-                    )
-            rows.extend(
-                asyncio.run(
-                    _aio_pipeline_rows(
-                        frontend.address, service, workloads, reference
+                rows.extend(
+                    asyncio.run(
+                        _aio_pipeline_rows(
+                            frontend.address, service, workloads, reference
+                        )
                     )
                 )
-            )
 
     if "shards" in sections:
         # 3. Shard identity: N workers vs one worker vs in-process.

@@ -1,34 +1,19 @@
-"""Wire front-ends for the serving layer, stdlib only.
+"""The sync wire client, stdlib only.
 
-Two transports carry the JSON protocol of :mod:`repro.serve.protocol`:
+:class:`ServiceClient` talks to the one wire server,
+:class:`~repro.serve.aio.AioFrontend`, over any of the transports that
+server answers on one port (plus its optional unix socket):
 
-* :class:`HttpFrontend` — a threaded HTTP server
-  (:class:`http.server.ThreadingHTTPServer`): ``POST /<method>`` with a
-  JSON params body, status codes per the serving error contract, HTTP/1.1
-  keep-alive so a steady client pays one TCP handshake, not one per query.
-  Parameterless read-only methods are also reachable as ``GET`` (handy for
-  ``curl http://host:port/health``).
-* :class:`UnixFrontend` — newline-delimited JSON over a unix domain
-  socket: one ``{"method", "params"}`` line in, one ``{"status", "body"}``
-  line out, persistent connections. The lower-overhead local transport.
+* ``http://host:port`` — ``POST /<method>`` with a JSON params body over
+  HTTP/1.1 keep-alive, so a steady client pays one TCP handshake, not
+  one per query;
+* ``tcp://host:port`` — newline-delimited JSON (NDJSON): one
+  ``{"method", "params"}`` line in, one ``{"status", "body"}`` line out,
+  persistent connection, ``TCP_NODELAY``;
+* ``unix:///path`` — the same NDJSON framing over a unix domain socket.
 
-A third transport lives in :mod:`repro.serve.aio`: an asyncio event-loop
-server speaking the same NDJSON framing over TCP and unix sockets, with
-request pipelining and streamed ``query_trace``. Its sync-client face is
-the ``tcp://host:port`` scheme below — the NDJSON line transport over a
-TCP socket with ``TCP_NODELAY``.
-
-Both servers bound the bytes they will buffer for one request
-(``max_request_bytes``, default 16 MiB): the HTTP front-end refuses an
-oversized ``Content-Length`` with 400 before reading the body, and the
-unix front-end answers 400 and severs when a request line exceeds the
-cap (the stream is mid-line and cannot resync). A misbehaving client
-cannot make a handler thread buffer unbounded bytes.
-
-:class:`ServiceClient` speaks all three (``http://host:port``,
-``unix:///path``, ``tcp://host:port``) and reverses the status mapping,
-so remote errors arrive
-as the same exception types the in-process
+The client reverses the status mapping, so remote errors arrive as the
+same exception types the in-process
 :class:`~repro.serve.service.LocalizationService` raises, and batch
 results come back as numpy arrays that are bit-identical to the
 in-process answers (float64 survives JSON round-trip exactly; the CI
@@ -36,19 +21,15 @@ frontend smoke gate in :mod:`repro.serve.check` asserts it).
 
 **Retry policy lives in the client, not the transports.** Each transport
 makes exactly one attempt per call and poisons its cached connection on
-any failure; :meth:`ServiceClient.call` retries *idempotent* methods with
-capped exponential backoff plus jitter (a thundering herd of clients
+any failure; :meth:`ServiceClient.call` retries *idempotent* methods
+(:data:`~repro.serve.protocol.IDEMPOTENT_METHODS`) with capped
+exponential backoff plus jitter (a thundering herd of clients
 reconnecting to a restarted server should not arrive in lockstep) and
 raises :class:`~repro.serve.protocol.ServiceUnavailable` — chaining the
 last transport error — once the budget is exhausted. ``update`` and
 ``commission`` are never re-sent (a duplicate execution would append a
 second epoch), and a ``TimeoutError`` is never retried for *any* method:
 the first copy may still be executing server-side.
-
-Both servers serve requests on handler threads; the backend's warm query
-path is read-only and the matcher cache tolerates a concurrent scheduler
-update (see :meth:`repro.core.pipeline.TafLoc.matcher_for_day`), so
-queries never block behind a background refresh.
 """
 
 from __future__ import annotations
@@ -58,335 +39,30 @@ import json
 import os
 import random
 import socket
-import socketserver
 import threading
 import time
-import warnings
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
-from urllib.parse import parse_qsl, urlsplit
+from urllib.parse import urlsplit
 
 import numpy as np
 
 from repro.serve.protocol import (
     ERROR_TYPES,
-    DropResponse,
+    IDEMPOTENT_METHODS,
     ServiceUnavailable,
     decode,
-    dispatch,
     encode,
 )
 from repro.sim.trace import LiveTrace
 
 __all__ = [
-    "DEFAULT_MAX_REQUEST_BYTES",
-    "HttpFrontend",
     "RemoteBatchResult",
     "RemoteMatchResult",
     "ServiceClient",
-    "UnixFrontend",
 ]
 
-#: Largest request body (HTTP) / request line (NDJSON) a front-end will
-#: buffer, bytes. Generous — a 16 MiB JSON body is ~200k frames — but
-#: finite, so a misbehaving client cannot exhaust server memory.
-DEFAULT_MAX_REQUEST_BYTES = 16 * 1024 * 1024
 
-#: Methods reachable via GET (no body, optional query-string params).
-_GET_METHODS = ("health", "sites", "summary", "stats", "site_summary",
-                "staleness", "drift")
-
-#: Methods the client may transparently re-send after a stale-connection
-#: failure. update/commission are deliberately absent: re-sending one
-#: whose first copy may still execute could append a duplicate epoch (or
-#: turn a succeeded commission into an "already commissioned" error).
-_IDEMPOTENT_METHODS = frozenset(
-    {
-        "query",
-        "query_batch",
-        "query_trace",
-        "site_summary",
-        "summary",
-        "sites",
-        "warm",
-        "staleness",
-        "stats",
-        "health",
-        "drift",
-    }
-)
-
-
-# ----------------------------------------------------------------------
-# HTTP transport
-# ----------------------------------------------------------------------
-class _HttpHandler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
-    server_version = "tafloc-serve"
-    # Small request/response pairs on a keep-alive connection hit the
-    # Nagle + delayed-ACK interaction (~40 ms per round trip) unless
-    # TCP_NODELAY is set on both ends; see also _HttpTransport._connect.
-    disable_nagle_algorithm = True
-
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        pass  # request logging is the caller's business, not stderr's
-
-    def _respond(self, status: int, body: Dict[str, Any]) -> None:
-        payload = encode(body)
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def _method(self) -> Tuple[str, Dict[str, Any]]:
-        parts = urlsplit(self.path)
-        return parts.path.strip("/"), dict(parse_qsl(parts.query))
-
-    def do_POST(self) -> None:  # noqa: N802 - stdlib dispatch-by-name
-        method, params = self._method()
-        length = int(self.headers.get("Content-Length") or 0)
-        cap = self.server.max_request_bytes
-        if length > cap:
-            # Refuse before reading a single body byte, and drop the
-            # connection: the unread body would desync keep-alive.
-            self.close_connection = True
-            self._respond(
-                400,
-                {
-                    "error": "ValueError",
-                    "message": f"request body of {length} bytes exceeds "
-                    f"the {cap}-byte limit",
-                },
-            )
-            return
-        raw = self.rfile.read(length) if length else b"{}"
-        try:
-            body = decode(raw) if raw.strip() else {}
-        except ValueError as error:
-            self._respond(400, {"error": "ValueError", "message": str(error)})
-            return
-        body_params = body.get("params", body) or {}
-        if not isinstance(body_params, dict):
-            self._respond(
-                400,
-                {
-                    "error": "ValueError",
-                    "message": "params must be a JSON object, got "
-                    f"{type(body_params).__name__}",
-                },
-            )
-            return
-        params.update(body_params)
-        try:
-            status, body = dispatch(self.server.backend, method, params)
-        except DropResponse:
-            # Fault injection: sever the connection instead of replying —
-            # the client must see a dead socket, not a status code.
-            self.close_connection = True
-            return
-        self._respond(status, body)
-
-    def do_GET(self) -> None:  # noqa: N802 - stdlib dispatch-by-name
-        method, params = self._method()
-        if method not in _GET_METHODS:
-            self._respond(
-                404,
-                {
-                    "error": "KeyError",
-                    "message": f"GET {self.path!r} is not routable; POST "
-                    f"/<method> (GET serves: {', '.join(_GET_METHODS)})",
-                },
-            )
-            return
-        try:
-            status, body = dispatch(self.server.backend, method, params)
-        except DropResponse:
-            self.close_connection = True
-            return
-        self._respond(status, body)
-
-
-class _HttpServer(ThreadingHTTPServer):
-    daemon_threads = True
-    allow_reuse_address = True
-
-    def __init__(self, address, backend, max_request_bytes) -> None:
-        super().__init__(address, _HttpHandler)
-        self.backend = backend
-        self.max_request_bytes = int(max_request_bytes)
-
-
-class _Frontend:
-    """Start/stop plumbing shared by the HTTP and unix front-ends."""
-
-    _server: socketserver.BaseServer
-
-    def __init__(self) -> None:
-        self._thread: Optional[threading.Thread] = None
-
-    def start(self) -> "_Frontend":
-        """Serve on a daemon thread; returns self (so ``with X().start()``)."""
-        if self._thread is None:
-            self._thread = threading.Thread(
-                target=self._server.serve_forever,
-                kwargs={"poll_interval": 0.05},
-                daemon=True,
-                name=f"{type(self).__name__}",
-            )
-            self._thread.start()
-        return self
-
-    def serve_forever(self) -> None:
-        """Serve on the calling thread (the CLI ``serve --listen`` path)."""
-        self._server.serve_forever(poll_interval=0.5)
-
-    def close(self) -> None:
-        self._server.shutdown()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            if self._thread.is_alive():  # pragma: no cover - defensive
-                # A daemon thread cannot be force-killed; surface the
-                # escalation instead of silently leaking the server.
-                warnings.warn(
-                    f"{type(self).__name__} serve thread did not stop "
-                    "within 5s; it will die with the process",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            self._thread = None
-        self._server.server_close()
-
-    def __enter__(self) -> "_Frontend":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-class HttpFrontend(_Frontend):
-    """HTTP front-end over a service backend (in-process or sharded).
-
-    ``port=0`` binds an ephemeral port; read :attr:`address` after
-    construction. The server runs on daemon handler threads — call
-    :meth:`start` for a background server (tests, benchmarks) or
-    :meth:`serve_forever` to donate the calling thread (the CLI).
-    """
-
-    def __init__(
-        self,
-        backend,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        *,
-        max_request_bytes: int = DEFAULT_MAX_REQUEST_BYTES,
-    ) -> None:
-        super().__init__()
-        self._server = _HttpServer((host, port), backend, max_request_bytes)
-
-    @property
-    def host(self) -> str:
-        return self._server.server_address[0]
-
-    @property
-    def port(self) -> int:
-        return self._server.server_address[1]
-
-    @property
-    def address(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-
-# ----------------------------------------------------------------------
-# unix-socket transport
-# ----------------------------------------------------------------------
-class _UnixHandler(socketserver.StreamRequestHandler):
-    def handle(self) -> None:
-        cap = self.server.max_request_bytes
-        while True:
-            # Bounded read: a request line longer than the cap gets a 400
-            # and a severed connection (the stream is mid-line, so it
-            # cannot resync), never an unbounded buffer.
-            line = self.rfile.readline(cap + 1)
-            if not line:
-                return
-            if len(line) > cap:
-                self.wfile.write(
-                    encode(
-                        {
-                            "status": 400,
-                            "body": {
-                                "error": "ValueError",
-                                "message": "request line exceeds the "
-                                f"{cap}-byte limit",
-                            },
-                        }
-                    )
-                )
-                self.wfile.flush()
-                return
-            if not line.strip():
-                continue
-            try:
-                request = decode(line)
-            except ValueError as error:
-                status, body = 400, {
-                    "error": "ValueError",
-                    "message": str(error),
-                }
-            else:
-                try:
-                    status, body = dispatch(
-                        self.server.backend,
-                        str(request.get("method", "")),
-                        request.get("params"),
-                    )
-                except DropResponse:
-                    return  # fault injection: sever instead of replying
-            self.wfile.write(encode({"status": status, "body": body}))
-            self.wfile.flush()
-
-
-class UnixFrontend(_Frontend):
-    """Unix-domain-socket front-end: NDJSON requests over ``path``."""
-
-    def __init__(
-        self,
-        backend,
-        path: str,
-        *,
-        max_request_bytes: int = DEFAULT_MAX_REQUEST_BYTES,
-    ) -> None:
-        if not hasattr(socketserver, "ThreadingUnixStreamServer"):
-            raise RuntimeError(
-                "unix-socket serving requires AF_UNIX support (POSIX)"
-            )
-        super().__init__()
-        self.path = str(path)
-        if os.path.exists(self.path):
-            os.unlink(self.path)
-
-        class _Server(socketserver.ThreadingUnixStreamServer):
-            daemon_threads = True
-
-        self._server = _Server(self.path, _UnixHandler)
-        self._server.backend = backend
-        self._server.max_request_bytes = int(max_request_bytes)
-
-    @property
-    def address(self) -> str:
-        return f"unix://{self.path}"
-
-    def close(self) -> None:
-        super().close()
-        if os.path.exists(self.path):
-            os.unlink(self.path)
-
-
-# ----------------------------------------------------------------------
-# client
-# ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class RemoteMatchResult:
     """One localization answer received over the wire.
@@ -436,9 +112,9 @@ class _HttpTransport:
                 self._host, self._port, timeout=self._timeout
             )
             self._connection.connect()
-            # The server's half is disable_nagle_algorithm; without the
-            # client half, every query pays a ~40 ms Nagle/delayed-ACK
-            # stall instead of a sub-millisecond round trip.
+            # The server sets TCP_NODELAY on its half; without the client
+            # half, every query pays a ~40 ms Nagle/delayed-ACK stall
+            # instead of a sub-millisecond round trip.
             self._connection.sock.setsockopt(
                 socket.IPPROTO_TCP, socket.TCP_NODELAY, 1
             )
@@ -546,10 +222,10 @@ class _TcpTransport(_LineTransport):
 
 
 class ServiceClient:
-    """Client for a serving front-end; mirrors the in-process contract.
+    """Client for the wire server; mirrors the in-process contract.
 
-    ``address`` is ``"http://host:port"``, ``"tcp://host:port"`` (the
-    aio front-end's NDJSON port), or ``"unix:///path"``. The
+    ``address`` is ``"http://host:port"``, ``"tcp://host:port"`` (NDJSON
+    on the same port), or ``"unix:///path"``. The
     connection is persistent (keep-alive / stream) and guarded by a lock,
     so one client may be shared across threads; per-thread clients avoid
     the lock when throughput matters. Contract errors raised by the remote
@@ -643,7 +319,7 @@ class ServiceClient:
         safe. A ``TimeoutError`` is terminal for every method: the first
         copy may still be executing server-side.
         """
-        idempotent = method in _IDEMPOTENT_METHODS
+        idempotent = method in IDEMPOTENT_METHODS
         attempts = (self.retries + 1) if idempotent else 1
         last_error: Optional[BaseException] = None
         for attempt in range(attempts):

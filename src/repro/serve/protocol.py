@@ -2,11 +2,16 @@
 
 One request is ``{"method": <name>, "params": {...}}``; one response is a
 JSON object plus an HTTP-style status code. The protocol is deliberately
-transport-agnostic: the HTTP front-end carries the status in the response
-line and the body as JSON, the unix-socket front-end carries both in one
-newline-delimited JSON object (``{"status": ..., "body": ...}``) — either
-way :func:`dispatch` is the single implementation, so the two transports
-cannot drift apart.
+transport-agnostic, and the one wire server
+(:class:`~repro.serve.aio.AioFrontend`) carries it in two framings: HTTP
+puts the status in the response line and the body as JSON, NDJSON
+(newline-delimited JSON, over TCP or a unix socket) carries both in one
+object (``{"status": ..., "body": ...}``) — either way :func:`dispatch`
+is the single implementation, so the framings cannot drift apart. The
+per-method wire properties live next to :data:`METHODS`: which methods
+HTTP serves as ``GET`` (:data:`GET_METHODS`), which ones a client may
+re-send after a transport failure (:data:`IDEMPOTENT_METHODS`), and the
+request size cap (:data:`DEFAULT_MAX_REQUEST_BYTES`).
 
 **Bit-identity over the wire.** Results are encoded with :mod:`json`,
 whose float serialization is ``repr``-based shortest round-trip: a float64
@@ -35,11 +40,10 @@ against :class:`~repro.serve.frontend.ServiceClient`.
 
 **Request ids + pipelining.** A request may carry an ``"id"`` (any JSON
 scalar); the response echoes it. Ids exist so a pipelined connection —
-many requests in flight at once on the asyncio front-end
+many requests in flight at once on an NDJSON connection
 (:mod:`repro.serve.aio`) — can match responses that complete out of
 order. Requests without an id are answered strictly in request order,
-which is what keeps the PR-5 one-at-a-time transports compatible with
-the aio server without changes.
+which is what the one-at-a-time sync client transports rely on.
 
 **Streaming ``query_trace``.** A long trace would otherwise buffer one
 giant JSON array on both ends. A streaming request
@@ -59,14 +63,26 @@ true}`` line will follow instead of inline ``params["frames"]``.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import (
+    Any,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+)
 
 import numpy as np
 
 from repro.sim.trace import LiveTrace
 
 __all__ = [
+    "DEFAULT_MAX_REQUEST_BYTES",
     "ERROR_TYPES",
+    "GET_METHODS",
+    "IDEMPOTENT_METHODS",
     "METHODS",
     "STREAM_CHUNK_FRAMES",
     "DropResponse",
@@ -122,6 +138,43 @@ METHODS = (
     "drift",
     "scrub",
 )
+
+#: Methods also reachable as ``GET /<method>`` on the HTTP framing (no
+#: body, optional query-string params): the read-only ones.
+GET_METHODS: Tuple[str, ...] = (
+    "health",
+    "sites",
+    "summary",
+    "stats",
+    "site_summary",
+    "staleness",
+    "drift",
+)
+
+#: Methods a client may transparently re-send after a transport failure.
+#: update/commission are deliberately absent: re-sending one whose first
+#: copy may still execute could append a duplicate epoch (or turn a
+#: succeeded commission into an "already commissioned" error).
+IDEMPOTENT_METHODS: FrozenSet[str] = frozenset(
+    {
+        "query",
+        "query_batch",
+        "query_trace",
+        "site_summary",
+        "summary",
+        "sites",
+        "warm",
+        "staleness",
+        "stats",
+        "health",
+        "drift",
+    }
+)
+
+#: Largest request body (HTTP) / request line (NDJSON) the server will
+#: buffer, bytes. Generous — a 16 MiB JSON body is ~200k frames — but
+#: finite, so a misbehaving client cannot exhaust server memory.
+DEFAULT_MAX_REQUEST_BYTES = 16 * 1024 * 1024
 
 #: Status → exception type, the client-side inverse of :func:`error_status`.
 ERROR_TYPES = {

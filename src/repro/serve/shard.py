@@ -269,8 +269,13 @@ def _shard_worker_main(connection, specs: Dict[str, dict], kwargs) -> None:
     desyncs the pipe — exactly the failure the router's timeout handling
     must absorb), ``delay`` adds latency before every later reply.
     """
+    import signal
     import time as _time
 
+    # A forked worker inherits the parent's handlers (``serve`` turns
+    # SIGTERM into a graceful stop); the router's terminate() escalation
+    # must stay fatal here.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     service = LocalizationService.from_specs(specs, **kwargs)
     reply_delay = 0.0
     while True:
@@ -504,8 +509,9 @@ class ShardedService:
             ``share_pipelines=False`` so replica streams stay in sync
             (override explicitly at your own risk).
 
-    The router is thread-safe (per-shard pipe locks), so a threaded wire
-    front-end can fan queries out to all workers concurrently. For batch
+    The router is thread-safe (per-shard pipe locks), so the wire
+    server's dispatch pool can fan queries out to all workers
+    concurrently. For batch
     fan-out from one thread, :meth:`map_query_batch` pipelines requests —
     every shard computes while the others do.
     """

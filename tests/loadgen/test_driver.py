@@ -7,7 +7,7 @@ import pytest
 
 from repro.loadgen.driver import expected_answers, run_closed_loop, run_open_loop
 from repro.loadgen.plan import closed_loop_plan, open_loop_plan
-from repro.serve import HttpFrontend, LocalizationService, ServiceClient
+from repro.serve import AioFrontend, LocalizationService, ServiceClient
 from repro.sim.collector import CollectionProtocol, RssCollector
 from repro.sim.specs import build_scenario, get_scenario_spec
 from repro.util.rng import counter_stream, task_key
@@ -74,10 +74,10 @@ def test_open_loop_over_http_is_bit_identical(serving):
     plan = open_loop_plan(
         sites=SITES, seed=SEED, rate_qps=400.0, requests=32, zipf_s=1.1
     )
-    with HttpFrontend(service) as frontend:
+    with AioFrontend(service) as frontend:
         result = run_open_loop(
             plan,
-            lambda: ServiceClient(frontend.address, retries=0),
+            lambda: ServiceClient(frontend.http_address, retries=0),
             workloads,
             expected=expected,
             transport="http",

@@ -241,6 +241,7 @@ class TestAioServerBehavior:
     def test_ephemeral_port_and_addresses(self, frontend):
         assert frontend.port > 0
         assert frontend.address == f"tcp://127.0.0.1:{frontend.port}"
+        assert frontend.http_address == f"http://127.0.0.1:{frontend.port}"
         assert frontend.unix_address.startswith("unix://")
 
     def test_noid_requests_answered_in_order(self, frontend):

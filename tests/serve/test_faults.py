@@ -25,7 +25,8 @@ from repro.serve.faults import (
     corrupt_pipeline_state,
     corrupt_snapshot_file,
 )
-from repro.serve.frontend import HttpFrontend, ServiceClient
+from repro.serve.aio import AioFrontend
+from repro.serve.frontend import ServiceClient
 from repro.serve.protocol import DropResponse, ServiceUnavailable
 from repro.serve.shard import WorkerTimeout
 from repro.sim.collector import CollectionProtocol
@@ -273,9 +274,9 @@ class TestFlakyWire:
         flaky = FlakyService(
             reference, drop_calls={0, 2}, methods={"query_batch"}
         )
-        with HttpFrontend(flaky) as frontend:
+        with AioFrontend(flaky) as frontend:
             client = ServiceClient(
-                frontend.address, retries=3, backoff=0.01
+                frontend.http_address, retries=3, backoff=0.01
             )
             try:
                 for site, rss in workloads.items():
@@ -292,9 +293,9 @@ class TestFlakyWire:
             reference, drop_calls=set(range(10)), methods={"query_batch"}
         )
         site = next(iter(SITES))
-        with HttpFrontend(flaky) as frontend:
+        with AioFrontend(flaky) as frontend:
             client = ServiceClient(
-                frontend.address, retries=2, backoff=0.01
+                frontend.http_address, retries=2, backoff=0.01
             )
             try:
                 with pytest.raises(ServiceUnavailable):

@@ -1,17 +1,25 @@
-"""Unit tests for the wire front-ends (HTTP + unix socket + client)."""
+"""Unit tests for the sync client against the one wire server.
 
+Every wire test runs against :class:`~repro.serve.aio.AioFrontend`: its
+HTTP/1.1 framing (``http://``), and its NDJSON framing over the unix
+socket (``unix://``) and the same TCP port (``tcp://``).
+"""
+
+import asyncio
 import json
 
 import numpy as np
 import pytest
 
 from repro.serve import (
-    HttpFrontend,
+    AioFrontend,
+    AsyncServiceClient,
     LocalizationService,
     ServiceClient,
-    UnixFrontend,
 )
 from repro.serve.protocol import (
+    GET_METHODS,
+    IDEMPOTENT_METHODS,
     METHODS,
     ServiceUnavailable,
     dispatch,
@@ -23,6 +31,19 @@ from repro.sim.specs import get_scenario_spec
 PROTOCOL = CollectionProtocol(samples_per_cell=2, empty_room_samples=5)
 SITES = {"hq": "square-3m", "lab": "square-4m"}
 SEED = 13
+
+
+def _read_http_response(reader):
+    """``(status, headers, body)`` of one HTTP response off ``reader``."""
+    status = int(reader.readline().split()[1])
+    headers = {}
+    while True:
+        line = reader.readline()
+        if line in (b"\r\n", b""):
+            break
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    return status, headers, reader.read(int(headers.get("content-length", 0)))
 
 
 @pytest.fixture(scope="module")
@@ -45,18 +66,22 @@ def traces(service):
 
 
 @pytest.fixture(scope="module")
-def http_client(service):
-    with HttpFrontend(service) as frontend:
-        with ServiceClient(frontend.address) as client:
-            yield client
+def wire_server(service, tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("sock") / "serve.sock")
+    with AioFrontend(service, unix_path=path) as frontend:
+        yield frontend
 
 
 @pytest.fixture(scope="module")
-def unix_client(service, tmp_path_factory):
-    path = str(tmp_path_factory.mktemp("sock") / "serve.sock")
-    with UnixFrontend(service, path) as frontend:
-        with ServiceClient(frontend.address) as client:
-            yield client
+def http_client(wire_server):
+    with ServiceClient(wire_server.http_address) as client:
+        yield client
+
+
+@pytest.fixture(scope="module")
+def unix_client(wire_server):
+    with ServiceClient(wire_server.unix_address) as client:
+        yield client
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -101,6 +126,8 @@ class TestProtocolDispatch:
         for method in METHODS:
             status, _ = dispatch(service, method, {})
             assert status in (200, 400, 503), method
+        assert set(GET_METHODS) <= set(METHODS)
+        assert IDEMPOTENT_METHODS <= set(METHODS)
 
     def test_health_and_sites(self, service):
         assert dispatch(service, "health", {})[1]["sites"] == 2
@@ -178,8 +205,8 @@ class TestColdUpdateOverTheWire:
         cold_service = LocalizationService.from_specs(
             {"new-site": "square-3m"}, protocol=PROTOCOL, seed=SEED
         )
-        with HttpFrontend(cold_service) as frontend:
-            with ServiceClient(frontend.address) as client:
+        with AioFrontend(cold_service) as frontend:
+            with ServiceClient(frontend.http_address) as client:
                 with pytest.raises(RuntimeError, match="cold update"):
                     client.update("new-site", 5.0)
                 body = client.update("new-site", 5.0, cold="commission")
@@ -221,10 +248,10 @@ class TestHttpSpecifics:
     def test_get_serves_readonly_methods(self, service):
         import urllib.request
 
-        with HttpFrontend(service) as frontend:
-            with urllib.request.urlopen(f"{frontend.address}/health") as resp:
+        with AioFrontend(service) as frontend:
+            with urllib.request.urlopen(f"{frontend.http_address}/health") as resp:
                 assert json.loads(resp.read())["status"] == "ok"
-            url = f"{frontend.address}/staleness?site=hq&day=7"
+            url = f"{frontend.http_address}/staleness?site=hq&day=7"
             with urllib.request.urlopen(url) as resp:
                 assert json.loads(resp.read())["staleness"] == 7.0
 
@@ -232,9 +259,9 @@ class TestHttpSpecifics:
         import urllib.error
         import urllib.request
 
-        with HttpFrontend(service) as frontend:
+        with AioFrontend(service) as frontend:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
-                urllib.request.urlopen(f"{frontend.address}/query")
+                urllib.request.urlopen(f"{frontend.http_address}/query")
             assert excinfo.value.code == 404
             # HTTPError is itself an open response; close its socket so
             # the traceback kept by pytest doesn't pin it past teardown.
@@ -244,9 +271,9 @@ class TestHttpSpecifics:
         import urllib.error
         import urllib.request
 
-        with HttpFrontend(service) as frontend:
+        with AioFrontend(service) as frontend:
             request = urllib.request.Request(
-                f"{frontend.address}/sites",
+                f"{frontend.http_address}/sites",
                 data=b"{not json",
                 method="POST",
             )
@@ -256,16 +283,16 @@ class TestHttpSpecifics:
             excinfo.value.close()
 
     def test_ephemeral_port_is_reported(self, service):
-        with HttpFrontend(service) as frontend:
+        with AioFrontend(service) as frontend:
             assert frontend.port > 0
-            assert frontend.address.startswith("http://127.0.0.1:")
+            assert frontend.http_address.startswith("http://127.0.0.1:")
 
     def test_client_reconnects_after_server_restart(self, service, traces):
-        frontend = HttpFrontend(service).start()
-        client = ServiceClient(frontend.address)
+        frontend = AioFrontend(service).start()
+        client = ServiceClient(frontend.http_address)
         assert client.sites() == ["hq", "lab"]
         frontend.close()
-        revived = HttpFrontend(service, port=frontend.port).start()
+        revived = AioFrontend(service, port=frontend.port).start()
         try:
             # The kept-alive connection is stale; one retry must recover.
             assert client.sites() == ["hq", "lab"]
@@ -366,9 +393,9 @@ class TestHttpSpecifics:
         import urllib.error
         import urllib.request
 
-        with HttpFrontend(service) as frontend:
+        with AioFrontend(service) as frontend:
             request = urllib.request.Request(
-                f"{frontend.address}/sites",
+                f"{frontend.http_address}/sites",
                 data=json.dumps({"params": "abc"}).encode(),
                 headers={"Content-Type": "application/json"},
                 method="POST",
@@ -379,6 +406,139 @@ class TestHttpSpecifics:
             body = json.loads(excinfo.value.read())
             assert "params must be a JSON object" in body["message"]
             excinfo.value.close()
+
+    @staticmethod
+    def _post(path, body, extra=b""):
+        payload = json.dumps(body).encode()
+        return (
+            b"POST " + path + b" HTTP/1.1\r\nContent-Length: %d\r\n%s\r\n%s"
+            % (len(payload), extra, payload)
+        )
+
+    def test_post_params_body_forms_and_query_merge(self, wire_server):
+        """A ``{"params": ...}`` body or a bare object both work, and
+        body params override query-string params."""
+        import socket
+
+        with socket.create_connection(
+            ("127.0.0.1", wire_server.port), timeout=5.0
+        ) as sock, sock.makefile("rb") as reader:
+            for request, staleness in (
+                (self._post(b"/staleness", {"params": {"site": "hq", "day": 3}}), 3.0),
+                (self._post(b"/staleness", {"site": "hq", "day": 4}), 4.0),
+                (self._post(b"/staleness?site=hq&day=1", {"day": 9}), 9.0),
+                (self._post(b"/staleness?site=hq&day=5", {}), 5.0),
+            ):
+                sock.sendall(request)
+                status, _, body = _read_http_response(reader)
+                assert status == 200
+                assert json.loads(body)["staleness"] == staleness
+
+    def test_keep_alive_connection_close_and_http10(self, wire_server):
+        import socket
+
+        address = ("127.0.0.1", wire_server.port)
+        with socket.create_connection(address, timeout=5.0) as sock:
+            with sock.makefile("rb") as reader:
+                for _ in range(2):  # HTTP/1.1: one connection, many requests
+                    sock.sendall(b"GET /sites HTTP/1.1\r\nHost: x\r\n\r\n")
+                    status, headers, body = _read_http_response(reader)
+                    assert status == 200 and "connection" not in headers
+                    assert json.loads(body)["sites"] == ["hq", "lab"]
+                sock.sendall(b"GET /sites HTTP/1.1\r\nConnection: close\r\n\r\n")
+                status, headers, _ = _read_http_response(reader)
+                assert status == 200 and headers["connection"] == "close"
+                assert reader.read() == b""
+        with socket.create_connection(address, timeout=5.0) as sock:
+            with sock.makefile("rb") as reader:
+                sock.sendall(b"GET /health HTTP/1.0\r\n\r\n")
+                status, _, body = _read_http_response(reader)
+                assert status == 200 and json.loads(body)["status"] == "ok"
+                assert reader.read() == b""  # HTTP/1.0 closes after one
+
+    def test_expect_100_continue_gets_an_interim_response(self, wire_server):
+        import socket
+
+        with socket.create_connection(
+            ("127.0.0.1", wire_server.port), timeout=5.0
+        ) as sock, sock.makefile("rb") as reader:
+            request = self._post(b"/sites", {}, b"Expect: 100-continue\r\n")
+            head, _, payload = request.partition(b"\r\n\r\n")
+            sock.sendall(head + b"\r\n\r\n")
+            assert reader.readline() == b"HTTP/1.1 100 Continue\r\n"
+            assert reader.readline() == b"\r\n"
+            sock.sendall(payload)
+            status, _, body = _read_http_response(reader)
+            assert status == 200 and json.loads(body)["sites"] == ["hq", "lab"]
+
+    def test_other_verbs_are_501(self, wire_server):
+        import socket
+
+        for verb in (b"PUT", b"DELETE", b"HEAD"):
+            with socket.create_connection(
+                ("127.0.0.1", wire_server.port), timeout=5.0
+            ) as sock, sock.makefile("rb") as reader:
+                sock.sendall(verb + b" /sites HTTP/1.1\r\n\r\n")
+                status, headers, _ = _read_http_response(reader)
+                assert status == 501 and headers["connection"] == "close"
+
+
+class TestOnePort:
+    """HTTP and NDJSON share one port: the first line of a connection
+    picks its framing, and every framing answers bit-identically."""
+
+    def test_interleaved_clients_are_bit_identical(
+        self, wire_server, service, traces
+    ):
+        import threading
+
+        frames = traces["hq"].rss
+        reference = [service.query("hq", frame, 0.0) for frame in frames]
+        expected = [
+            (ref.cell, (ref.position.x, ref.position.y), ref.scores[ref.cell])
+            for ref in reference
+        ]
+        pipelined = []
+
+        async def pipeline():
+            async with AsyncServiceClient(wire_server.address) as client:
+                for _ in range(3):
+                    pipelined.append(
+                        await client.pipeline_queries("hq", frames, 0.0, depth=8)
+                    )
+
+        thread = threading.Thread(
+            target=lambda: asyncio.run(pipeline()), name="pipelined-client"
+        )
+        thread.start()
+        try:
+            with ServiceClient(wire_server.http_address) as http, ServiceClient(
+                wire_server.unix_address
+            ) as unix:
+                for _ in range(3):
+                    for client in (http, unix):
+                        answers = [client.query("hq", f, 0.0) for f in frames]
+                        assert [
+                            (a.cell, a.position, a.score) for a in answers
+                        ] == expected
+        finally:
+            thread.join(timeout=30.0)
+        assert len(pipelined) == 3
+        for answers in pipelined:
+            assert [(a.cell, a.position, a.score) for a in answers] == expected
+
+    def test_garbage_first_line_gets_the_ndjson_400(self, wire_server):
+        import socket
+
+        with socket.create_connection(
+            ("127.0.0.1", wire_server.port), timeout=5.0
+        ) as sock, sock.makefile("rb") as reader:
+            sock.sendall(b"GET garbage\n")
+            response = json.loads(reader.readline())
+            assert response["status"] == 400
+            assert response["body"]["error"] == "ValueError"
+            sock.sendall(b'{"method": "health", "params": {}}\n')
+            assert json.loads(reader.readline())["status"] == 200
 
 
 class TestKeepAliveDesyncRecovery:
@@ -468,9 +628,9 @@ class TestRequestBodyCaps:
         import urllib.error
         import urllib.request
 
-        with HttpFrontend(service, max_request_bytes=256) as frontend:
+        with AioFrontend(service, max_request_bytes=256) as frontend:
             request = urllib.request.Request(
-                f"{frontend.address}/sites",
+                f"{frontend.http_address}/sites",
                 data=b'{"params": {"pad": "' + b"x" * 1024 + b'"}}',
                 headers={"Content-Type": "application/json"},
                 method="POST",
@@ -483,31 +643,43 @@ class TestRequestBodyCaps:
             excinfo.value.close()
 
     def test_http_within_cap_still_served(self, service):
-        with HttpFrontend(service, max_request_bytes=4096) as frontend:
-            with ServiceClient(frontend.address) as client:
+        with AioFrontend(service, max_request_bytes=4096) as frontend:
+            with ServiceClient(frontend.http_address) as client:
                 assert client.sites() == ["hq", "lab"]
 
-    def test_unix_oversized_line_is_400_and_severed(self, service, tmp_path):
+    @pytest.mark.parametrize(
+        "head, status",
+        [
+            (b"POST /sites HTTP/1.1\r\nContent-Length: -1\r\n", 400),
+            (b"POST /sites HTTP/1.1\r\nContent-Length: abc\r\n", 400),
+            (b"POST /sites HTTP/1.1\r\nContent-Length: " + b"9" * 5000 + b"\r\n", 400),
+            (b"POST /sites HTTP/1.1\r\n" + b"X-Pad: 1\r\n" * 101, 431),
+            (b"POST /sites HTTP/1.1\r\nX-Pad: " + b"x" * 9000 + b"\r\n", 431),
+        ],
+        ids=[
+            "negative-length",
+            "non-numeric-length",
+            "5000-digit-length",
+            "101-headers",
+            "long-header",
+        ],
+    )
+    def test_hostile_framing_is_refused_and_closed(self, service, head, status):
+        """A hostile header block gets its status and a closed
+        connection — never a parked handler or a silent drop."""
         import socket
 
-        path = str(tmp_path / "capped.sock")
-        with UnixFrontend(service, path, max_request_bytes=256):
-            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            sock.settimeout(5.0)
-            sock.connect(path)
-            try:
-                sock.sendall(
-                    b'{"method": "sites", "params": {"pad": "'
-                    + b"x" * 1024
-                    + b'"}}\n'
-                )
-                reader = sock.makefile("rb")
-                response = json.loads(reader.readline())
-                assert response["status"] == 400
-                assert "exceeds" in response["body"]["message"]
-                assert reader.readline() == b""  # severed
-            finally:
-                sock.close()
+        with AioFrontend(service, max_request_bytes=8192) as frontend:
+            with socket.create_connection(
+                ("127.0.0.1", frontend.port), timeout=5.0
+            ) as sock:
+                sock.sendall(head + b"\r\n")
+                with sock.makefile("rb") as reader:
+                    got, headers, body = _read_http_response(reader)
+                    assert got == status
+                    assert headers["connection"] == "close"
+                    assert json.loads(body)["error"] == "ValueError"
+                    assert reader.read() == b""  # closed
 
 
 class TestClientAddresses:

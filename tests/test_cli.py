@@ -1,10 +1,42 @@
 """Tests for the command-line interface."""
 
 import itertools
+import os
 
 import pytest
 
 from repro.cli import _sub_seed, build_parser, main
+
+
+def _proc_stat(pid):
+    """``(state, ppid)`` of a live process, or None once it is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            fields = handle.read().rsplit(")", 1)[1].split()
+    except OSError:
+        return None
+    return fields[0], int(fields[1])
+
+
+def _descendants(pid):
+    """Every live descendant of ``pid``, read from /proc."""
+    parents = {}
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            stat = _proc_stat(int(entry))
+            if stat is not None:
+                parents.setdefault(stat[1], []).append(int(entry))
+    found, frontier = [], [pid]
+    while frontier:
+        children = parents.get(frontier.pop(), [])
+        found.extend(children)
+        frontier.extend(children)
+    return found
+
+
+def _alive(pid):
+    stat = _proc_stat(pid)
+    return stat is not None and stat[0] != "Z"
 
 
 class TestParser:
@@ -228,6 +260,51 @@ class TestCommands:
         finally:
             server.terminate()
             server.wait(timeout=10)
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self"), reason="reads the process tree from /proc"
+    )
+    def test_sigterm_stops_serve_and_its_shard_workers(self):
+        """SIGTERM takes the graceful Ctrl-C path: ``serve`` exits 0 and
+        none of its children (the shard worker) outlives it."""
+        import signal
+        import subprocess
+        import sys as _sys
+        import time as _time
+        from pathlib import Path
+
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        server = subprocess.Popen(
+            [
+                _sys.executable, "-u", "-m", "repro.cli", "serve",
+                "--sites", "square-3m", "--shards", "1",
+                "--listen", "127.0.0.1:0", "--max-seconds", "60",
+            ],
+            stdout=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+        try:
+            for line in server.stdout:
+                if line.startswith("serving"):
+                    break
+            children = _descendants(server.pid)
+            assert children, "the sharded server has no worker process"
+            server.send_signal(signal.SIGTERM)
+            assert server.wait(timeout=30) == 0
+            deadline = _time.monotonic() + 5.0
+            while _time.monotonic() < deadline and any(map(_alive, children)):
+                _time.sleep(0.05)
+            assert not [pid for pid in children if _alive(pid)]
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.wait()
+            server.stdout.close()
 
     def test_serve_with_updates(self, capsys):
         assert main(
