@@ -2,16 +2,21 @@
 # produces the committed perf-trajectory point (BENCH_PR10.json — every
 # registered bench section: solve, engine, serving, frontend,
 # frontend_async, resilience, trust, loadgen; narrow a run with
-# `make bench BENCH_ONLY="--only loadgen"`). CI runs `make bench-smoke`
-# (writes BENCH_SMOKE.json — PR-agnostic, never clobbers a committed
-# BENCH_PR*.json), `make frontend-smoke` (the wire/shard/aio
-# bit-identity gate), `make resilience-smoke` (kill -9 /
-# snapshot-restore / resize gate plus the PR-7 anti-entropy trust gates:
-# quorum read-repair under a corrupted replica, scrub detection of
-# silent corruption, degraded-mode stale serving, snapshot keep-last-K
-# retention) and `make loadgen-smoke` (the PR-10 load-generator gate:
-# open-loop SLO saturation search with bit-for-bit answer checks,
-# plan determinism, the 200-site registration soak).
+# `make bench BENCH_ONLY="--only loadgen"`).
+#
+# Every gate is a bench section's smoke gate, and every `*-smoke` target
+# is `benchmarks/bench_perf.py --smoke` narrowed with `--only`:
+# `make bench-smoke` runs every section (writes BENCH_SMOKE.json —
+# PR-agnostic, never clobbers a committed BENCH_PR*.json);
+# `make frontend-smoke` the wire/shard/aio bit-identity gates;
+# `make resilience-smoke` the kill -9 / snapshot-restore / resize gates
+# plus the anti-entropy trust gates (quorum read-repair under a
+# corrupted replica, scrub detection of silent corruption, degraded-mode
+# stale serving, snapshot keep-last-K retention); `make loadgen-smoke`
+# the load-generator gates (open-loop SLO saturation search with
+# bit-for-bit answer checks, plan determinism, the 200-site
+# registration soak). On a gate failure the script exits 1 and prints
+# the `--seed N --only …` command that replays it.
 
 PYTHON ?= python
 PYTHONPATH_SRC = PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH))
@@ -46,40 +51,40 @@ bench:
 	$(PYTHON) benchmarks/bench_perf.py --out BENCH_PR10.json $(BENCH_ONLY)
 
 # Writes to BENCH_SMOKE.json (gitignored territory) so a local smoke run
-# never clobbers the committed full-bench BENCH_PR6.json; CI uploads the
-# same file under the PR-agnostic `bench-smoke` artifact name.
+# never clobbers the committed full-bench BENCH_PR10.json.
 bench-smoke:
 	$(PYTHON) benchmarks/bench_perf.py --smoke --jobs 2 --out BENCH_SMOKE.json
 
-# Start a wire server + sharded workers at toy scale and assert the
-# answers are bit-identical to the in-process service (CI's guard on the
-# serving front-end). Runs the wire + shard sections only; the fault
-# gates live in resilience-smoke.
+# Wire server + sharded workers at toy scale: every transport (http,
+# tcp, unix; sync, pipelined and streamed) and every shard count must
+# answer bit-identically to the in-process service, scores included,
+# and a wrong-site query must raise KeyError through every transport.
 frontend-smoke:
-	$(PYTHONPATH_SRC) $(PYTHON) -m repro.serve.check --only wire --only shards
+	$(PYTHON) benchmarks/bench_perf.py --smoke --only frontend \
+		--only frontend_async
 
-# The PR-6 + PR-7 acceptance gate: on a 3-shard R=2 snapshot-backed
-# fleet, kill -9 each worker under load (zero lost queries, bit-identical
-# answers, snapshot-warmed respawn), resize the fleet live, then the
-# anti-entropy episode — corrupt a replica's fingerprint state and prove
-# quorum reads deliver zero mismatched answers while the scrub alarms,
-# quarantines, and read-repairs; degraded mode serves stale-marked
-# snapshot answers when every replica is down; keep-last-K retention
-# holds the snapshot directory bounded. On failure the fault-schedule
-# seed lands in RESILIENCE_SEED.json (CI uploads it) for local replay.
+# On a 3-shard R=2 snapshot-backed fleet: kill -9 each worker in turn
+# under load (zero lost queries, bit-identical answers, snapshot-warmed
+# respawn), resize the fleet live 3 -> 4 -> 2, then the anti-entropy
+# episode — a corrupted replica hidden by quorum reads while the scrub
+# alarms, quarantines and read-repairs; a silently corrupted secondary
+# found by the scrub alone; degraded mode serving stale-marked snapshot
+# answers when every replica is down; keep-last-K retention bounding
+# the snapshot directory. The report (with its `seed`) always lands in
+# RESILIENCE_SMOKE.json; CI uploads it on failure.
 resilience-smoke:
-	$(PYTHONPATH_SRC) $(PYTHON) -m repro.serve.check --only resilience \
-		--seed-out RESILIENCE_SEED.json
+	$(PYTHON) benchmarks/bench_perf.py --smoke --only resilience \
+		--only trust --out RESILIENCE_SMOKE.json
 
-# The PR-10 load-generator gate: a seconds-scale open-loop SLO
-# saturation search over the http front-end with every answer checked
-# bit-for-bit, a closed-loop comparison, the same-seed plan-determinism
-# check, and a 200-site registration soak (one shared spec must dedupe
-# to ONE pipeline). The gates are the `loadgen` bench section's own
-# smoke gates via the section registry; the full record always lands in
-# LOADGEN_SMOKE.json (CI uploads it on failure).
+# The load-generator gates: a seconds-scale open-loop SLO saturation
+# search over the wire server with every answer checked bit-for-bit, a
+# closed-loop comparison, the same-seed plan-determinism check, and a
+# 200-site registration soak (one shared spec must dedupe to ONE
+# pipeline). The report always lands in LOADGEN_SMOKE.json (CI uploads
+# it on failure).
 loadgen-smoke:
-	$(PYTHONPATH_SRC) $(PYTHON) -m repro.loadgen.check --out LOADGEN_SMOKE.json
+	$(PYTHON) benchmarks/bench_perf.py --smoke --only loadgen \
+		--out LOADGEN_SMOKE.json
 
 bench-figures:
 	$(PYTHON) -m pytest benchmarks -q -p no:cacheprovider

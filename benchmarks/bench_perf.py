@@ -11,18 +11,22 @@ Usage::
 A thin driver over the :mod:`repro.eval.bench` section registry. Each
 registered section — ``solve`` (surveys / LoLi-IR updates / matching),
 ``engine`` (Fig. 3/5 end-to-end through the parallel engine), ``serving``
-(multi-site in-process service), ``frontend`` (HTTP/unix wire + shard
+(multi-site in-process service), ``frontend`` (HTTP/tcp/unix wire + shard
 fan-out), ``frontend_async`` (pipelined asyncio NDJSON), ``resilience``
 (kill -9 under load), ``trust`` (quorum reads, corruption repair,
 snapshot soak), ``loadgen`` (open/closed-loop load generation with the
 SLO saturation search and the many-site soak) — owns its measurement,
 its block of the printed report, and its ``--smoke`` CI gates.
 ``--only`` narrows a run to the named section(s); the default run emits
-every section, key-for-key identical to the pre-registry reports.
-``--smoke`` runs a seconds-scale subset and exits non-zero on any
-registered smoke-gate failure; it honors ``--out`` so the workflow can
-upload the JSON as an artifact (the CI convention is ``make bench-smoke``
-→ ``BENCH_SMOKE.json``; the committed full run is ``BENCH_PR10.json``).
+every section.
+``--smoke`` runs a seconds-scale subset (``SMOKE_KNOBS``) and exits
+non-zero on any registered smoke-gate failure, printing the command
+that replays the failing sections with the same ``--seed``; it honors
+``--out`` (written pass or fail) so the workflow can upload the JSON as
+an artifact. The section gates are the only gate driver: every ``make
+*-smoke`` target is this script with ``--smoke --only …`` (``make
+bench-smoke`` → every section, ``BENCH_SMOKE.json``; the committed full
+run is ``BENCH_PR10.json``).
 See EXPERIMENTS.md for the recorded trajectory and how to read the
 numbers. The file name is intentionally ``bench_*`` (not ``test_*``) so
 pytest's benchmark collection does not pick it up.
@@ -41,11 +45,26 @@ if _SRC.is_dir() and str(_SRC) not in sys.path:
 
 from repro.eval.bench import (  # noqa: E402
     DEFAULT_SIZES,
+    SMOKE_KNOBS,
     format_bench_report,
     run_perf_bench,
     section_names,
+    sections,
     smoke_failures,
 )
+
+
+def replay_command(report, seed: int) -> str:
+    """The ``--smoke`` command that re-runs ``report``'s failing sections."""
+    failing = [
+        section.name
+        for section in sections()
+        if report.get(section.report_key)
+        and section.smoke_gates(report[section.report_key])
+    ]
+    return f"python benchmarks/bench_perf.py --smoke --seed {seed}" + "".join(
+        f" --only {name}" for name in failing
+    )
 
 
 def main(argv=None) -> int:
@@ -92,37 +111,24 @@ def main(argv=None) -> int:
 
     if args.smoke:
         report = run_perf_bench(
-            sizes=("square-3m",),
-            frames=24,
-            samples_per_cell=2,
-            repeat=1,
+            **SMOKE_KNOBS,
             seed=args.seed,
             out_path=args.out,
             engine_jobs=args.jobs,
             engine_scenario=args.scenario,
-            serving_sites=("square-3m", "square-4m"),
-            frontend_sites=("square-3m", "square-4m"),
-            frontend_shards=(1, 2),
-            frontend_async_sites=("square-3m",),
-            frontend_async_connections=(1, 2),
-            resilience_sites=("square-3m", "square-4m"),
-            resilience_shards=2,
-            resilience_replicas=2,
-            trust_sites=("square-3m", "square-4m"),
-            loadgen_sites=("square-3m",),
-            loadgen_transports=("http", "aio"),
-            loadgen_shards=(1,),
-            loadgen_requests=60,
-            loadgen_start_qps=50.0,
-            loadgen_max_qps=2000.0,
-            loadgen_soak_sites=200,
             only=args.only,
         )
         print(format_bench_report(report))
         failures = smoke_failures(report)
         for failure in failures:
             print(f"FAIL: {failure}", file=sys.stderr)
-        return 1 if failures else 0
+        if failures:
+            print(
+                f"replay with: {replay_command(report, args.seed)}",
+                file=sys.stderr,
+            )
+            return 1
+        return 0
 
     out = args.out or "BENCH_PR10.json"
     report = run_perf_bench(

@@ -78,7 +78,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.core.pipeline import TafLoc
-from repro.eval.benchmark import DEFAULT_SIZES, format_bench_report, run_perf_bench
+from repro.eval.bench import DEFAULT_SIZES, format_bench_report, run_perf_bench
 from repro.eval.costmodel import CostModel, sweep_update_cost
 from repro.eval.engine import ExperimentEngine, cached_scenario
 from repro.eval.experiments import (

@@ -4,8 +4,10 @@ Importing this package registers every section in canonical report
 order — ``solve``, ``engine``, ``serving``, ``frontend``,
 ``frontend_async``, ``resilience``, ``trust``, ``loadgen`` — and
 re-exports the registry drivers plus each section's public benchmark
-function. ``repro.eval.benchmark`` remains a thin compatibility facade
-over this package; new code should import from here.
+function. Each section's ``smoke_gates`` are the repository's only gate
+driver: ``benchmarks/bench_perf.py --smoke`` runs them at the
+``SMOKE_KNOBS`` scale, and every ``make *-smoke`` target is that script
+narrowed with ``--only``.
 """
 
 from __future__ import annotations
@@ -15,11 +17,13 @@ from repro.eval.bench.common import (
     BenchConfig,
     DEFAULT_SIZES,
     LEGACY_SOLVER,
+    SMOKE_KNOBS,
     StageTiming,
     bench_spec,
     best_of,
     build_bench_deployment,
     host_metadata,
+    identical,
 )
 from repro.eval.bench.registry import (
     BenchSection,
@@ -49,6 +53,7 @@ __all__ = [
     "BenchSection",
     "DEFAULT_SIZES",
     "LEGACY_SOLVER",
+    "SMOKE_KNOBS",
     "StageTiming",
     "bench_engine",
     "bench_frontend",
@@ -64,6 +69,7 @@ __all__ = [
     "format_bench_report",
     "get_section",
     "host_metadata",
+    "identical",
     "register",
     "run_perf_bench",
     "section_names",

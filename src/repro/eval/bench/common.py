@@ -4,9 +4,10 @@
 ``run`` receives — the union of all section knobs, with ``None`` meaning
 "skip this section" for the optional ones (the historical
 ``run_perf_bench`` contract). The helpers here (spec resolution, best-of
-timing, host metadata) are the pieces the old 1657-line monolith
-duplicated across sections; they live in one place now so a new section
-is *only* its measurement logic plus a ``register()`` call.
+timing, host metadata, seeded site workloads, the bit-identity test,
+the respawn poll) are the pieces sections used to duplicate; they live
+in one place so a new section is *only* its measurement logic plus a
+``register()`` call.
 """
 
 from __future__ import annotations
@@ -15,22 +16,36 @@ import os
 import platform
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence, Union
+from typing import Callable, Dict, Mapping, Optional, Sequence, Union
+
+import numpy as np
 
 from repro.core.loli_ir import LoliIrConfig
+from repro.eval.engine import cached_scenario
+from repro.sim.collector import CollectionProtocol, RssCollector
 from repro.sim.deployment import Deployment
-from repro.sim.specs import ScenarioSpec, build_deployment, get_scenario_spec
+from repro.sim.specs import (
+    ScenarioSpec,
+    build_deployment,
+    build_scenario,
+    get_scenario_spec,
+)
+from repro.util.rng import counter_stream, task_key
 
 __all__ = [
     "BENCH_SEED",
     "BenchConfig",
     "DEFAULT_SIZES",
     "LEGACY_SOLVER",
+    "SMOKE_KNOBS",
     "StageTiming",
     "bench_spec",
     "best_of",
     "build_bench_deployment",
     "host_metadata",
+    "identical",
+    "respawned",
+    "site_workloads",
 ]
 
 #: The PR-1 solver configuration: matrix-free CG half-steps, no outer
@@ -45,6 +60,34 @@ LEGACY_SOLVER = LoliIrConfig(
 DEFAULT_SIZES = ("paper", "square-6m", "square-12m")
 
 BENCH_SEED = 2016
+
+#: The seconds-scale ``run_perf_bench`` keywords of ``bench_perf.py
+#: --smoke`` (every ``make *-smoke`` target): one tiny size, toy survey
+#: density, and per section at least the sites, shard count and replica
+#: count its smoke gates were specified against. The tier-1 gate test
+#: runs this same configuration.
+SMOKE_KNOBS: Dict[str, object] = {
+    "sizes": ("square-3m",),
+    "frames": 24,
+    "samples_per_cell": 2,
+    "repeat": 1,
+    "serving_sites": ("square-3m", "square-4m"),
+    "frontend_sites": ("square-3m", "square-4m"),
+    "frontend_shards": (1, 2),
+    "frontend_async_sites": ("square-3m", "square-4m"),
+    "frontend_async_connections": (1, 2),
+    "resilience_sites": ("square-3m", "square-4m", "square-5m"),
+    "resilience_shards": 3,
+    "resilience_replicas": 2,
+    "trust_sites": ("square-3m", "square-4m"),
+    "loadgen_sites": ("square-3m",),
+    "loadgen_transports": ("http", "aio"),
+    "loadgen_shards": (1,),
+    "loadgen_requests": 60,
+    "loadgen_start_qps": 50.0,
+    "loadgen_max_qps": 2000.0,
+    "loadgen_soak_sites": 200,
+}
 
 
 @dataclass(frozen=True)
@@ -108,6 +151,66 @@ def bench_spec(size: str) -> ScenarioSpec:
 def build_bench_deployment(size: str) -> Deployment:
     """Deployment for a named benchmark size."""
     return build_deployment(bench_spec(size).geometry)
+
+
+def site_workloads(
+    specs: Mapping[str, ScenarioSpec],
+    protocol: CollectionProtocol,
+    frames: int,
+    seed: int,
+    *,
+    offset: int,
+    label: str,
+) -> Dict[str, np.ndarray]:
+    """One seeded live-trace RSS workload of ``frames`` frames per site.
+
+    Site ``i`` draws its cells from ``counter_stream(seed, offset + i)``
+    and its RSS from a collector seeded ``task_key(seed, label, site)``;
+    each section keeps its own ``(offset, label)`` pair so its workloads
+    (and every committed number measured on them) never move.
+    """
+    workloads: Dict[str, np.ndarray] = {}
+    for index, (site, spec) in enumerate(specs.items()):
+        scenario = cached_scenario(spec, build_scenario)
+        cells = counter_stream(seed, offset + index).integers(
+            0, scenario.deployment.cell_count, size=frames
+        )
+        workloads[site] = RssCollector(
+            scenario, protocol, seed=task_key(seed, label, site)
+        ).live_trace(0.0, cells).rss
+    return workloads
+
+
+def respawned(fleet, index: int, timeout_s: float) -> bool:
+    """Poll a ``ShardedService`` until shard ``index`` is alive again.
+
+    The fleet's ``health()`` poll is what drives a background respawn;
+    returns ``False`` if the shard is still down after ``timeout_s``.
+    """
+    deadline = time.monotonic() + timeout_s
+    while time.monotonic() < deadline:
+        fleet.health()
+        if fleet._shards[index].alive():
+            return True
+        time.sleep(0.02)
+    return False
+
+
+def identical(result, reference) -> bool:
+    """Whether ``result`` answers exactly like ``reference``.
+
+    Cells and positions always; scores too whenever ``result`` carries
+    them (a wire answer asked for ``include_scores``, any in-process or
+    shard answer). This is the one bit-identity test every gate uses.
+    """
+    return bool(
+        np.array_equal(result.cells, reference.cells)
+        and np.array_equal(result.positions, reference.positions)
+        and (
+            result.scores is None
+            or np.array_equal(result.scores, reference.scores)
+        )
+    )
 
 
 def best_of(fn: Callable[[], object], repeat: int) -> float:

@@ -7,28 +7,28 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
 from repro.eval.bench.common import (
     BENCH_SEED,
     BenchConfig,
     bench_spec,
     best_of,
+    identical,
+    site_workloads,
 )
 from repro.eval.bench.registry import BenchSection, register
-from repro.eval.engine import cached_scenario
 from repro.serve import (
     AioFrontend,
     LocalizationService,
     ServiceClient,
     ShardedService,
 )
-from repro.sim.collector import CollectionProtocol, RssCollector
-from repro.sim.specs import build_scenario
-from repro.util.rng import counter_stream, task_key
+from repro.sim.collector import CollectionProtocol
 from repro.util.stats import latency_summary, timed_singles
 
 __all__ = ["bench_frontend"]
+
+#: Every transport of the one wire server, in ``per_site`` key order.
+_TRANSPORTS = ("http", "unix", "tcp")
 
 
 def bench_frontend(
@@ -45,9 +45,10 @@ def bench_frontend(
 
     Three comparisons, all on the same per-site workloads:
 
-    * **wire vs in-process** — the wire server's HTTP and unix-socket
-      NDJSON transports, driven one request at a time by the sync
-      client, answer the same single queries and batches as direct
+    * **wire vs in-process** — every transport of the one wire server
+      (HTTP/1.1 and NDJSON on its TCP port, NDJSON on its unix socket),
+      driven one request at a time by the sync client, answers the same
+      single queries and batches as direct
       :class:`~repro.serve.service.LocalizationService` calls;
       ``wire_overhead_x`` is in-process single-query throughput over HTTP
       single-query throughput (i.e. what one JSON round trip costs), and
@@ -59,8 +60,10 @@ def bench_frontend(
       worker (≈1 on a single core, → min(shards, cores, sites) on a
       multi-core host because workers own disjoint site sets).
     * **bit-identity** — every transport and every shard count must
-      reproduce the in-process answers exactly; the smoke run gates CI
-      on these flags.
+      reproduce the in-process answers exactly, scores included; a
+      wrong-site query must raise ``KeyError`` (HTTP 404) through every
+      transport (``error_contract``). The smoke run gates CI on these
+      flags.
     """
     protocol = CollectionProtocol(
         samples_per_cell=samples_per_cell, empty_room_samples=10
@@ -70,15 +73,9 @@ def bench_frontend(
         specs, protocol=protocol, seed=seed
     )
     service.warm()
-    workloads: Dict[str, np.ndarray] = {}
-    for index, (site, spec) in enumerate(specs.items()):
-        scenario = cached_scenario(spec, build_scenario)
-        cells = counter_stream(seed, 300 + index).integers(
-            0, scenario.deployment.cell_count, size=frames
-        )
-        workloads[site] = RssCollector(
-            scenario, protocol, seed=task_key(seed, "frontend-workload", site)
-        ).live_trace(0.0, cells).rss
+    workloads = site_workloads(
+        specs, protocol, frames, seed, offset=300, label="frontend-workload"
+    )
     reference = {
         site: service.query_batch(site, rss, 0.0)
         for site, rss in workloads.items()
@@ -90,16 +87,15 @@ def bench_frontend(
         "singles": int(singles),
         "per_site": {},
         "shards": {},
+        "error_contract": {},
     }
 
     def wire_rates(client) -> Dict[str, Dict[str, float]]:
         rates: Dict[str, Dict[str, float]] = {}
         for site, rss in workloads.items():
-            wire = client.query_batch(site, rss, 0.0)  # warm-up + identity
-            identical = bool(
-                np.array_equal(wire.cells, reference[site].cells)
-                and np.array_equal(wire.positions, reference[site].positions)
-            )
+            # Warm-up + identity (scores included; the timed calls below
+            # skip them, as a real client would).
+            wire = client.query_batch(site, rss, 0.0, include_scores=True)
             batch_s = best_of(
                 lambda: client.query_batch(site, rss, 0.0), repeat
             )
@@ -118,9 +114,16 @@ def bench_frontend(
                 ),
                 "roundtrip_ms": 1000.0 * single_s / len(head),
                 "latency": latency_summary(latencies),
-                "bit_identical": identical,
+                "bit_identical": identical(wire, reference[site]),
             }
         return rates
+
+    def raises_key_error(client) -> bool:
+        try:
+            client.query_batch("nowhere", next(iter(workloads.values())), 0.0)
+        except KeyError:
+            return True
+        return False
 
     # In-process baseline on identical workloads.
     for site, rss in workloads.items():
@@ -150,12 +153,16 @@ def bench_frontend(
             for transport, address in (
                 ("http", frontend.http_address),
                 ("unix", frontend.unix_address),
+                ("tcp", frontend.address),
             ):
                 with ServiceClient(address) as client:
                     for site, rates in wire_rates(client).items():
                         row = record["per_site"][site]
                         for key, value in rates.items():
                             row[f"{transport}_{key}"] = value
+                    record["error_contract"][transport] = raises_key_error(
+                        client
+                    )
     for row in record["per_site"].values():
         row["wire_overhead_x"] = (
             row["inproc_single_qps"] / row["http_single_qps"]
@@ -175,9 +182,8 @@ def bench_frontend(
             sharded.warm()
             warm_s = time.perf_counter() - start
             results = sharded.map_query_batch(requests)  # warm-up + identity
-            identical = all(
-                np.array_equal(result.cells, reference[site].cells)
-                and np.array_equal(result.positions, reference[site].positions)
+            shard_identical = all(
+                identical(result, reference[site])
                 for (site, _, _), result in zip(requests, results)
             )
             fanout_s = best_of(
@@ -190,7 +196,7 @@ def bench_frontend(
                 "warm_s": warm_s,
                 "fanout_batch_qps": qps,
                 "scaling_x": qps / base_qps if base_qps > 0 else float("inf"),
-                "bit_identical": bool(identical),
+                "bit_identical": shard_identical,
             }
     return record
 
@@ -216,10 +222,9 @@ def _format(record: Dict[str, object]) -> List[str]:
         f"{record['singles']} single round trips):"
     )
     for site, row in record["per_site"].items():
-        identical = (
+        status = (
             "bit-identical"
-            if row.get("http_bit_identical")
-            and row.get("unix_bit_identical")
+            if all(row.get(f"{t}_bit_identical") for t in _TRANSPORTS)
             else "MISMATCH"
         )
         latency = row.get("http_latency", {})
@@ -231,29 +236,46 @@ def _format(record: Dict[str, object]) -> List[str]:
             f"{latency.get('p99_ms', float('nan')):.2f} ms, "
             f"{row['wire_overhead_x']:.1f}x overhead) | "
             f"unix {row['unix_single_qps']:,.0f} q/s | "
-            f"http batch {row['http_batch_qps']:,.0f} q/s ({identical})"
+            f"tcp {row['tcp_single_qps']:,.0f} q/s | "
+            f"http batch {row['http_batch_qps']:,.0f} q/s ({status})"
         )
     for count, row in record["shards"].items():
-        identical = "bit-identical" if row["bit_identical"] else "MISMATCH"
+        status = "bit-identical" if row["bit_identical"] else "MISMATCH"
         lines.append(
             f"  shards={count}: warm {row['warm_s']:.2f}s | fan-out "
             f"{row['fanout_batch_qps']:,.0f} q/s "
-            f"({row['scaling_x']:.2f}x vs 1 worker, {identical})"
+            f"({row['scaling_x']:.2f}x vs 1 worker, {status})"
         )
+    contract = ", ".join(
+        f"{t} {'ok' if ok else 'BROKEN'}"
+        for t, ok in record["error_contract"].items()
+    )
+    lines.append(f"  wrong-site 404 -> KeyError: {contract}")
     return lines
 
 
 def _smoke_gates(record: Dict[str, object]) -> List[str]:
-    wire_ok = all(
-        row["http_bit_identical"] and row["unix_bit_identical"]
-        for row in record["per_site"].values()
-    )
-    shard_ok = all(
-        row["bit_identical"] for row in record["shards"].values()
-    )
-    if not (wire_ok and shard_ok):
-        return ["wire/shard answers differ from in-process service"]
-    return []
+    failures: List[str] = []
+    for site, row in record["per_site"].items():
+        for transport in _TRANSPORTS:
+            if not row[f"{transport}_bit_identical"]:
+                failures.append(
+                    f"frontend: {site} {transport}_bit_identical is false "
+                    "(wire answers differ from in-process service)"
+                )
+    for count, row in record["shards"].items():
+        if not row["bit_identical"]:
+            failures.append(
+                f"frontend: shards.{count}.bit_identical is false "
+                "(shard answers differ from in-process service)"
+            )
+    for transport, ok in record["error_contract"].items():
+        if not ok:
+            failures.append(
+                f"frontend: error_contract.{transport} is false "
+                "(wrong-site query did not raise KeyError)"
+            )
+    return failures
 
 
 register(

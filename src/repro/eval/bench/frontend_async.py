@@ -13,18 +13,17 @@ from repro.eval.bench.common import (
     BenchConfig,
     bench_spec,
     best_of,
+    identical,
+    site_workloads,
 )
 from repro.eval.bench.registry import BenchSection, register
-from repro.eval.engine import cached_scenario
 from repro.serve import (
     AioFrontend,
     AsyncServiceClient,
     LocalizationService,
     ServiceClient,
 )
-from repro.sim.collector import CollectionProtocol, LiveTrace, RssCollector
-from repro.sim.specs import build_scenario
-from repro.util.rng import counter_stream, task_key
+from repro.sim.collector import CollectionProtocol, LiveTrace
 from repro.util.stats import latency_summary, timed_singles
 
 __all__ = ["bench_frontend_async"]
@@ -126,15 +125,9 @@ def bench_frontend_async(
         specs, protocol=protocol, seed=seed
     )
     service.warm()
-    workloads: Dict[str, np.ndarray] = {}
-    for index, (site, spec) in enumerate(specs.items()):
-        scenario = cached_scenario(spec, build_scenario)
-        cells = counter_stream(seed, 300 + index).integers(
-            0, scenario.deployment.cell_count, size=frames
-        )
-        workloads[site] = RssCollector(
-            scenario, protocol, seed=task_key(seed, "frontend-workload", site)
-        ).live_trace(0.0, cells).rss
+    workloads = site_workloads(
+        specs, protocol, frames, seed, offset=300, label="frontend-workload"
+    )
     heads = {
         site: rss[: min(frames, singles)] for site, rss in workloads.items()
     }
@@ -258,15 +251,11 @@ def bench_frontend_async(
             streamed, peak, elapsed = asyncio.run(
                 _aio_trace_probe(address, site, trace, stream_chunk)
             )
-            identical = bool(
-                np.array_equal(streamed.cells, reference.cells)
-                and np.array_equal(streamed.positions, reference.positions)
-            )
             peaks.append(int(peak))
             lengths[str(trace.shape[0])] = {
                 "frames": int(trace.shape[0]),
                 "peak_message_bytes": int(peak),
-                "bit_identical": identical,
+                "bit_identical": identical(streamed, reference),
                 "stream_s": elapsed,
                 "frames_per_s": (
                     trace.shape[0] / elapsed if elapsed > 0 else float("inf")
@@ -306,16 +295,14 @@ def _format(record: Dict[str, object]) -> List[str]:
         f"{record['singles']} singles/connection):"
     )
     for site, row in record["per_site"].items():
-        identical = (
-            "bit-identical" if row.get("bit_identical") else "MISMATCH"
-        )
+        status = "bit-identical" if row.get("bit_identical") else "MISMATCH"
         lines.append(
             f"  {site:<12} in-proc {row['inproc_single_qps']:,.0f} q/s | "
             f"http {row['http_single_qps']:,.0f} q/s | "
             f"aio sync {row['aio_sync_single_qps']:,.0f} q/s | "
             f"aio best {row['aio_best_qps']:,.0f} q/s "
             f"({row['speedup_vs_http_x']:.1f}x vs http, "
-            f"{row['wire_vs_inproc_x']:.1f}x off in-proc, {identical})"
+            f"{row['wire_vs_inproc_x']:.1f}x off in-proc, {status})"
         )
         for count, pipe in row["pipelined"].items():
             latency = pipe["latency"]

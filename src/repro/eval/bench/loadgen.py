@@ -19,11 +19,13 @@ import tempfile
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
 
-import numpy as np
-
-from repro.eval.bench.common import BENCH_SEED, BenchConfig, bench_spec
+from repro.eval.bench.common import (
+    BENCH_SEED,
+    BenchConfig,
+    bench_spec,
+    site_workloads,
+)
 from repro.eval.bench.registry import BenchSection, register
-from repro.eval.engine import cached_scenario
 from repro.loadgen.driver import (
     DriverResult,
     expected_answers,
@@ -44,9 +46,7 @@ from repro.serve import (
     SimClock,
     UpdateScheduler,
 )
-from repro.sim.collector import CollectionProtocol, RssCollector
-from repro.sim.specs import build_scenario
-from repro.util.rng import counter_stream, task_key
+from repro.sim.collector import CollectionProtocol
 
 __all__ = ["bench_loadgen"]
 
@@ -95,17 +95,9 @@ def bench_loadgen(
         specs, protocol=protocol, seed=seed
     )
     reference.warm()
-    workloads: Dict[str, np.ndarray] = {}
-    for index, (site, spec) in enumerate(specs.items()):
-        scenario = cached_scenario(spec, build_scenario)
-        cells = counter_stream(seed, 900 + index).integers(
-            0, scenario.deployment.cell_count, size=frames
-        )
-        workloads[site] = RssCollector(
-            scenario,
-            protocol,
-            seed=task_key(seed, "loadgen-workload", site),
-        ).live_trace(0.0, cells).rss
+    workloads = site_workloads(
+        specs, protocol, frames, seed, offset=900, label="loadgen-workload"
+    )
     expected = expected_answers(reference, workloads, 0.0)
 
     def plan_at(rate: float):

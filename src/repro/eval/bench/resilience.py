@@ -7,16 +7,18 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
-from repro.eval.bench.common import BENCH_SEED, BenchConfig, bench_spec
+from repro.eval.bench.common import (
+    BENCH_SEED,
+    BenchConfig,
+    bench_spec,
+    identical,
+    respawned,
+    site_workloads,
+)
 from repro.eval.bench.registry import BenchSection, register
-from repro.eval.engine import cached_scenario
 from repro.serve import LocalizationService, ShardedService
 from repro.serve.faults import FaultInjector, FaultSchedule
-from repro.sim.collector import CollectionProtocol, RssCollector
-from repro.sim.specs import build_scenario
-from repro.util.rng import counter_stream, task_key
+from repro.sim.collector import CollectionProtocol
 from repro.util.stats import latency_summary
 
 __all__ = ["bench_resilience"]
@@ -55,6 +57,14 @@ def bench_resilience(
       commissioning surveys) vs ``snapshot_warm_s`` (a second fleet over
       the same snapshot directory), the restore-vs-rebuild speedup a
       respawn rides.
+    * **every victim** — on that second fleet, ``kill -9`` of each shard
+      in turn, each followed by one batch per site (``kills``: zero
+      failed, zero mismatched, a respawn that warmed from snapshots),
+      then whole-fleet identity after recovery and a live resize to
+      ``shards + 1`` and down to ``shards - 1`` that must keep every
+      answer bit-identical (``resize``).
+
+    Every answer is compared on cells, positions and scores.
     """
     protocol = CollectionProtocol(
         samples_per_cell=samples_per_cell, empty_room_samples=5
@@ -64,17 +74,9 @@ def bench_resilience(
         specs, protocol=protocol, seed=seed, share_pipelines=False
     )
     reference.warm()
-    workloads: Dict[str, np.ndarray] = {}
-    for index, (site, spec) in enumerate(specs.items()):
-        scenario = cached_scenario(spec, build_scenario)
-        cells = counter_stream(seed, 500 + index).integers(
-            0, scenario.deployment.cell_count, size=frames
-        )
-        workloads[site] = RssCollector(
-            scenario,
-            protocol,
-            seed=task_key(seed, "resilience-workload", site),
-        ).live_trace(0.0, cells).rss
+    workloads = site_workloads(
+        specs, protocol, frames, seed, offset=500, label="resilience-workload"
+    )
     expected = {
         site: reference.query_batch(site, rss, 0.0)
         for site, rss in workloads.items()
@@ -119,12 +121,7 @@ def bench_resilience(
                         failed += 1
                         continue
                     latencies.append(time.perf_counter() - begin)
-                    if not (
-                        np.array_equal(result.cells, expected[site].cells)
-                        and np.array_equal(
-                            result.positions, expected[site].positions
-                        )
-                    ):
+                    if not identical(result, expected[site]):
                         mismatched += 1
                 return {
                     "failed_queries": failed,
@@ -146,14 +143,7 @@ def bench_resilience(
             # query fails over to a live replica and still answers.
             record["during"] = run_phase(operations)
 
-            recovered = False
-            deadline = time.monotonic() + recovery_timeout_s
-            while time.monotonic() < deadline:
-                fleet.health()  # the monitoring poll drives the respawn
-                if fleet._shards[victim].alive():
-                    recovered = True
-                    break
-                time.sleep(0.02)
+            recovered = respawned(fleet, victim, recovery_timeout_s)
             record["recovery_s"] = time.perf_counter() - killed_at
             record["recovered"] = bool(recovered)
             if recovered:
@@ -192,15 +182,68 @@ def bench_resilience(
                     for shard in revived._shards
                 )
             )
-            record["snapshot_warm_bit_identical"] = bool(
-                all(
-                    np.array_equal(
-                        revived.query_batch(site, rss, 0.0).cells,
-                        expected[site].cells,
-                    )
+            record["snapshot_warm_bit_identical"] = all(
+                identical(revived.query_batch(site, rss, 0.0), expected[site])
+                for site, rss in workloads.items()
+            )
+
+            # kill -9 every shard in turn; each outage must cost nothing.
+            kills: Dict[str, object] = {}
+            injector = FaultInjector(revived)
+            for victim in range(shards):
+                injector.kill(victim)
+                failed = mismatched = 0
+                for site, rss in workloads.items():
+                    try:
+                        result = revived.query_batch(site, rss, 0.0)
+                    except OSError:
+                        failed += 1
+                        continue
+                    if not identical(result, expected[site]):
+                        mismatched += 1
+                begin = time.perf_counter()
+                recovered = respawned(revived, victim, recovery_timeout_s)
+                kills[str(victim)] = {
+                    "failed_queries": failed,
+                    "mismatched_queries": mismatched,
+                    "recovered": recovered,
+                    "recovery_s": time.perf_counter() - begin,
+                    "snapshots_restored": (
+                        int(
+                            revived._shards[victim]
+                            .call("health")
+                            .get("snapshots_restored", 0)
+                        )
+                        if recovered
+                        else 0
+                    ),
+                }
+            record["kills"] = kills
+            results = revived.map_query_batch(
+                [(site, rss, 0.0) for site, rss in workloads.items()]
+            )
+            record["post_recovery_bit_identical"] = all(
+                identical(result, expected[site])
+                for site, result in zip(workloads, results)
+            )
+
+            def all_identical() -> bool:
+                return all(
+                    identical(revived.query_batch(site, rss, 0.0), expected[site])
                     for site, rss in workloads.items()
                 )
-            )
+
+            grow_to, shrink_to = shards + 1, max(1, shards - 1)
+            grown = revived.resize(grow_to)
+            grow_ok = all_identical()
+            shrunk = revived.resize(shrink_to)
+            record["resize"] = {
+                "grow_to": grow_to,
+                "shrink_to": shrink_to,
+                "grow_moved": len(grown["moved_sites"]),
+                "shrink_moved": len(shrunk["moved_sites"]),
+                "bit_identical": grow_ok and all_identical(),
+            }
         finally:
             revived.close()
 
@@ -254,6 +297,20 @@ def _format(record: Dict[str, object]) -> List[str]:
         f"({record['restore_speedup']:.1f}x) | "
         f"{'ZERO LOSS' if record['zero_loss'] else 'QUERIES LOST'}"
     )
+    for victim, row in record["kills"].items():
+        lines.append(
+            f"  kill -9 shard {victim}: failed {row['failed_queries']} | "
+            f"mismatched {row['mismatched_queries']} | respawned "
+            f"{row['recovered']} in {row['recovery_s'] * 1e3:.0f} ms, "
+            f"{row['snapshots_restored']} site(s) snapshot-restored"
+        )
+    resize = record["resize"]
+    lines.append(
+        f"  resize {record['shards']}->{resize['grow_to']}->"
+        f"{resize['shrink_to']}: moved {resize['grow_moved']} then "
+        f"{resize['shrink_moved']} site(s), "
+        f"{'bit-identical' if resize['bit_identical'] else 'MISMATCH'}"
+    )
     return lines
 
 
@@ -263,8 +320,39 @@ def _smoke_gates(record: Dict[str, object]) -> List[str]:
         failures.append("resilience: queries lost or mismatched across kill")
     if not record["recovered"]:
         failures.append("resilience: killed worker did not recover")
+    elif record["snapshots_restored"] <= 0:
+        failures.append(
+            "resilience: snapshots_restored is 0 (respawn re-surveyed)"
+        )
     if not record["snapshot_warm_bit_identical"]:
         failures.append("resilience: snapshot-warmed fleet answers differ")
+    for victim, row in record["kills"].items():
+        if (
+            row["failed_queries"] != 0
+            or row["mismatched_queries"] != 0
+            or not row["recovered"]
+        ):
+            failures.append(
+                f"resilience: kills.{victim} lost or changed answers or did "
+                f"not respawn ({row['failed_queries']} failed, "
+                f"{row['mismatched_queries']} mismatched, "
+                f"recovered={row['recovered']})"
+            )
+        elif row["snapshots_restored"] <= 0:
+            failures.append(
+                f"resilience: kills.{victim}.snapshots_restored is 0 "
+                "(respawn re-surveyed)"
+            )
+    if not record["post_recovery_bit_identical"]:
+        failures.append(
+            "resilience: post_recovery_bit_identical is false "
+            "(fleet answers differ after the kills)"
+        )
+    if not record["resize"]["bit_identical"]:
+        failures.append(
+            "resilience: resize.bit_identical is false "
+            "(answers changed across a live resize)"
+        )
     return failures
 
 

@@ -7,16 +7,18 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
-from repro.eval.bench.common import BENCH_SEED, BenchConfig, bench_spec
+from repro.eval.bench.common import (
+    BENCH_SEED,
+    BenchConfig,
+    bench_spec,
+    identical,
+    respawned,
+    site_workloads,
+)
 from repro.eval.bench.registry import BenchSection, register
-from repro.eval.engine import cached_scenario
 from repro.serve import LocalizationService, ShardedService
 from repro.serve.faults import FaultInjector
-from repro.sim.collector import CollectionProtocol, RssCollector
-from repro.sim.specs import build_scenario
-from repro.util.rng import counter_stream, task_key
+from repro.sim.collector import CollectionProtocol
 from repro.util.stats import latency_summary
 
 __all__ = ["bench_trust"]
@@ -43,11 +45,19 @@ def bench_trust(
       replica's fingerprint state, then the workload: wall time until
       the divergence is detected and the liar repaired, with the
       mismatched-answer count clients saw (the target is zero), plus a
-      clean-scrub pass time for scale.
+      scrub pass time for scale (that scrub must find nothing left to
+      repair and nothing quarantined).
+    * **silent corruption** — a bit flip in a *secondary* replica no
+      read touches: the scrub alone must find and repair it, after
+      which the site answers bit-identically and fresh.
+    * **degraded serving** — every replica of one site killed: the
+      quorum fleet (``degraded_mode``) must answer from the last
+      verified snapshot, bit-identical and marked ``stale``.
     * **snapshot soak** — ``soak_days`` of daily update + lifecycle
       maintenance under keep-last-``snapshot_keep``: max files on disk,
       prune totals, final directory bytes — the boundedness record the
-      PR-7 acceptance criterion points at.
+      PR-7 acceptance criterion points at (``files_pruned`` > 0 shows
+      retention actually ran).
     * **drift sentinel** — one measured-drift probe per site: reading
       and wall time (what a ``policy="drift"`` scheduler tick pays).
     """
@@ -59,17 +69,9 @@ def bench_trust(
         specs, protocol=protocol, seed=seed, share_pipelines=False
     )
     reference.warm()
-    workloads: Dict[str, np.ndarray] = {}
-    for index, (site, spec) in enumerate(specs.items()):
-        scenario = cached_scenario(spec, build_scenario)
-        cells = counter_stream(seed, 700 + index).integers(
-            0, scenario.deployment.cell_count, size=frames
-        )
-        workloads[site] = RssCollector(
-            scenario,
-            protocol,
-            seed=task_key(seed, "trust-workload", site),
-        ).live_trace(0.0, cells).rss
+    workloads = site_workloads(
+        specs, protocol, frames, seed, offset=700, label="trust-workload"
+    )
     expected = {
         site: reference.query_batch(site, rss, 0.0)
         for site, rss in workloads.items()
@@ -98,11 +100,8 @@ def bench_trust(
                 failed += 1
                 continue
             latencies.append(time.perf_counter() - begin)
-            if not (
-                np.array_equal(result.cells, expected[site].cells)
-                and np.array_equal(
-                    result.positions, expected[site].positions
-                )
+            if not identical(result, expected[site]) or getattr(
+                result, "stale", False
             ):
                 mismatched += 1
         return {
@@ -119,6 +118,7 @@ def bench_trust(
                 replicas=replicas,
                 snapshot_dir=Path(tmp) / "snapshots",
                 read_mode=read_mode,
+                degraded_mode=read_mode == "quorum",
                 call_timeout=60.0,
                 protocol=protocol,
                 seed=seed,
@@ -148,7 +148,54 @@ def bench_trust(
                         "pass_s": time.perf_counter() - begin,
                         "sites_checked": scrub["sites_checked"],
                         "divergent_sites": scrub["divergent_sites"],
+                        "quarantined": len(fleet.quarantined_replicas()),
                     }
+
+                    # A corrupted secondary: only the scrub can see it.
+                    other = site_list[-1]
+                    injector.corrupt(
+                        fleet.replicas[other][1], site=other, seed=seed + 1
+                    )
+                    scrub = fleet.scrub()
+                    post = fleet.query_batch(other, workloads[other], 0.0)
+                    record["silent_corruption"] = {
+                        "site": other,
+                        "detected": other in scrub["divergent_sites"],
+                        "repaired": int(scrub["repaired"]),
+                        "post_scrub_bit_identical": identical(
+                            post, expected[other]
+                        )
+                        and not getattr(post, "stale", False),
+                    }
+
+                    # Every replica of one site down: degraded mode
+                    # answers from the last verified snapshot.
+                    target = site_list[0]
+                    for index in sorted(set(fleet.replicas[target])):
+                        injector.kill(index)
+                    degraded: Dict[str, object] = {"site": target}
+                    try:
+                        result = fleet.query_batch(
+                            target, workloads[target], 0.0
+                        )
+                    except OSError as error:
+                        degraded.update(
+                            stale=False, bit_identical=False, error=repr(error)
+                        )
+                    else:
+                        degraded.update(
+                            stale=bool(getattr(result, "stale", False)),
+                            bit_identical=identical(result, expected[target]),
+                            error=None,
+                        )
+                    degraded["degraded_answers"] = (
+                        fleet.router_stats.degraded_answers
+                    )
+                    record["degraded"] = degraded
+                    # Let the background respawns finish before close()
+                    # so shutdown never races a half-spawned worker.
+                    for index in sorted(set(fleet.replicas[target])):
+                        respawned(fleet, index, 60.0)
             finally:
                 fleet.close()
     failover_p50 = record["failover"]["latency"].get("p50_ms", 0.0)
@@ -228,6 +275,16 @@ def _format(record: Dict[str, object]) -> List[str]:
         f"{episode['repairs']} repair(s) | mismatched "
         f"{episode['mismatched_queries']}"
     )
+    silent = record["silent_corruption"]
+    degraded = record["degraded"]
+    lines.append(
+        f"  scrub     after repair {len(record['scrub']['divergent_sites'])} "
+        f"divergent, {record['scrub']['quarantined']} quarantined | silent "
+        f"{silent['site']} detected={silent['detected']}, "
+        f"{silent['repaired']} repaired | degraded {degraded['site']} "
+        f"stale={degraded['stale']}, "
+        f"{'bit-identical' if degraded['bit_identical'] else 'MISMATCH'}"
+    )
     soak = record["snapshot_soak"]
     lines.append(
         f"  soak      {soak['days']} d, keep {soak['keep_last']}: "
@@ -251,10 +308,47 @@ def _smoke_gates(record: Dict[str, object]) -> List[str]:
         failures.append(
             "trust: corruption episode leaked wrong or failed answers"
         )
-    if episode["read_divergences"] < 1 or episode["repairs"] < 1:
-        failures.append("trust: corruption was not detected and repaired")
-    if not record["snapshot_soak"]["bounded"]:
+    if (
+        episode["read_divergences"] < 1
+        or episode["quarantines"] < 1
+        or episode["repairs"] < 1
+    ):
+        failures.append(
+            "trust: corruption was not detected, quarantined and repaired"
+        )
+    scrub = record["scrub"]
+    if scrub["divergent_sites"] or scrub["quarantined"]:
+        failures.append(
+            "trust: scrub after repair is not clean "
+            f"(divergent_sites={scrub['divergent_sites']}, "
+            f"quarantined={scrub['quarantined']})"
+        )
+    silent = record["silent_corruption"]
+    if not silent["detected"] or silent["repaired"] < 1:
+        failures.append(
+            "trust: silent_corruption of a secondary was not found and "
+            f"repaired by the scrub (detected={silent['detected']}, "
+            f"repaired={silent['repaired']})"
+        )
+    if not silent["post_scrub_bit_identical"]:
+        failures.append(
+            "trust: silent_corruption.post_scrub_bit_identical is false"
+        )
+    degraded = record["degraded"]
+    if not (degraded["stale"] and degraded["bit_identical"]):
+        failures.append(
+            "trust: degraded answer with every replica down is not a "
+            f"bit-identical stale answer (stale={degraded['stale']}, "
+            f"bit_identical={degraded['bit_identical']}, "
+            f"error={degraded['error']})"
+        )
+    soak = record["snapshot_soak"]
+    if not soak["bounded"]:
         failures.append("trust: snapshot directory growth is unbounded")
+    if soak["files_pruned"] <= 0:
+        failures.append(
+            "trust: snapshot_soak.files_pruned is 0 (retention never ran)"
+        )
     return failures
 
 

@@ -6,8 +6,8 @@ drivers that execute a plan against the in-process service or any wire
 front-end while recording honest per-query latency
 (:mod:`repro.loadgen.driver`), the SLO saturation search
 (:mod:`repro.loadgen.slo`), and the many-site registration soak
-(:mod:`repro.loadgen.soak`). ``python -m repro.loadgen.check`` is the CI
-smoke gate.
+(:mod:`repro.loadgen.soak`). The section's smoke gates are the CI
+``loadgen-smoke`` gate (``bench_perf.py --smoke --only loadgen``).
 """
 
 from repro.loadgen.driver import (

@@ -29,9 +29,13 @@ deployment pieces:
 * :mod:`repro.serve.shard` — site partitioning across worker processes
   with a pure-routing front-end, bit-identical for any shard count, plus
   the anti-entropy trust layer (background scrub, quorum reads,
-  quarantine + read-repair, degraded-mode snapshot serving);
-* :mod:`repro.serve.check` — the CI smoke gate asserting wire and shard
-  answers equal the in-process service bit for bit.
+  quarantine + read-repair, degraded-mode snapshot serving).
+
+The CI gates asserting wire and shard answers equal the in-process
+service bit for bit, under every fault, are the smoke gates of the
+``frontend``, ``frontend_async``, ``resilience`` and ``trust`` sections
+of :mod:`repro.eval.bench` (``make frontend-smoke`` /
+``make resilience-smoke``).
 
 See ``tafloc-repro serve --listen`` / ``query --connect`` for the CLI
 surface and ``benchmarks/bench_perf.py`` for throughput numbers.

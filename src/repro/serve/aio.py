@@ -64,8 +64,8 @@ runs on a thread pool and the loop keeps serving other requests).
 
 Bit-identity with in-process answers holds on every transport: same
 ``dispatch``, same JSON float round-trip, same 400/404/409/503 error
-contract, gated by ``serve/check.py --only wire`` over ``http://``,
-``tcp://`` and ``unix://``.
+contract, gated by the ``frontend`` bench section's smoke gates
+(``make frontend-smoke``) over ``http://``, ``tcp://`` and ``unix://``.
 """
 
 from __future__ import annotations

@@ -25,9 +25,10 @@ kills the workers. This module is that something, in three layers:
   on every machine.
 
 Everything here is test/benchmark machinery — production code never
-imports it — but it lives in ``src`` because the CI resilience gate
-(:mod:`repro.serve.check`) and the benchmark
-(:func:`repro.eval.benchmark.bench_resilience`) both drive it.
+imports it — but it lives in ``src`` because the ``resilience`` and
+``trust`` bench sections (:func:`repro.eval.bench.bench_resilience`,
+:func:`repro.eval.bench.bench_trust`), whose smoke gates are the CI
+resilience gate, drive it.
 """
 
 from __future__ import annotations
@@ -261,7 +262,7 @@ class FaultInjector:
         Unlike :meth:`hang` this is awaited (the pipe stays in sync):
         it degrades latency without breaking anything — the tail-latency
         perturbation knob for :func:`bench_resilience
-        <repro.eval.benchmark.bench_resilience>`.
+        <repro.eval.bench.bench_resilience>`.
         """
         shard = self.service._shards[shard_index]
         applied = False

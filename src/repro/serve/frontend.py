@@ -16,8 +16,8 @@ The client reverses the status mapping, so remote errors arrive as the
 same exception types the in-process
 :class:`~repro.serve.service.LocalizationService` raises, and batch
 results come back as numpy arrays that are bit-identical to the
-in-process answers (float64 survives JSON round-trip exactly; the CI
-frontend smoke gate in :mod:`repro.serve.check` asserts it).
+in-process answers (float64 survives JSON round-trip exactly; the
+``frontend`` bench section's smoke gates assert it).
 
 **Retry policy lives in the client, not the transports.** Each transport
 makes exactly one attempt per call and poisons its cached connection on

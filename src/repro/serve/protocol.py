@@ -15,9 +15,10 @@ request size cap (:data:`DEFAULT_MAX_REQUEST_BYTES`).
 
 **Bit-identity over the wire.** Results are encoded with :mod:`json`,
 whose float serialization is ``repr``-based shortest round-trip: a float64
-survives encode→decode exactly. That is what lets the CI frontend smoke
-gate (:mod:`repro.serve.check`) assert that wire answers equal in-process
-:class:`~repro.serve.service.LocalizationService` answers bit for bit.
+survives encode→decode exactly. That is what lets the ``frontend`` bench
+section's smoke gates (``make frontend-smoke``) assert that wire answers
+equal in-process :class:`~repro.serve.service.LocalizationService`
+answers bit for bit, scores included.
 
 **Error contract → status codes.** The PR-4 serving error contract maps
 onto HTTP-style statuses (the order matters: ``KeyError`` is a

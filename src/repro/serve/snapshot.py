@@ -31,8 +31,8 @@ fingerprints. Writes go to a temp file in the same directory followed by an
 atomic rename; snapshot bytes are deterministic functions of pipeline state,
 so two replicas racing to save the same state is benign.
 
-Restore-vs-rebuild identity is gated the same way ``serve/check.py`` gates
-the wire path: ``tests/serve/test_snapshot.py`` asserts snapshot→restore
+Restore-vs-rebuild identity is gated the same way the bench smoke gates
+gate the wire path: ``tests/serve/test_snapshot.py`` asserts snapshot→restore
 answers equal rebuild-from-scratch answers bit for bit across every
 registered scenario, including post-restore updates.
 

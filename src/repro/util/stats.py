@@ -4,10 +4,9 @@ Two tools, one vocabulary:
 
 * :func:`latency_summary` — exact percentiles over a list of wall-time
   samples, the summary every bench section reports (p50/p95/p99, max,
-  mean, all in milliseconds). This used to live as a private helper in
-  ``eval/benchmark.py`` and was quietly re-implemented by each new
-  section; it is now the single definition all sections (and the load
-  generator's closed-loop driver) route through.
+  mean, all in milliseconds). It is the single definition every section
+  of :mod:`repro.eval.bench` (and the load generator's closed-loop
+  driver) routes through.
 * :class:`LatencyHistogram` — fixed geometric-bucket histogram for
   recording per-query latency at load-generator scale. Exact-sample
   percentiles need every observation in memory and a sort per report;

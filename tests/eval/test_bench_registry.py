@@ -1,17 +1,23 @@
-"""The BenchSection registry: ordering, --only filtering, the facade."""
+"""The BenchSection registry: ordering, --only filtering, smoke gates."""
 
 from __future__ import annotations
 
+import copy
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 
-import repro.eval.benchmark as facade
 from repro.eval.bench import (
+    SMOKE_KNOBS,
     get_section,
+    identical,
     run_perf_bench,
     section_names,
     sections,
     smoke_failures,
 )
+from tests.serve.conftest import _leak_sanitizer  # noqa: F401
 
 CANONICAL = [
     "solve",
@@ -86,24 +92,121 @@ def test_smoke_failures_surface_section_gates():
     assert any("bit-identical" in failure for failure in failures)
 
 
-def test_facade_reexports_the_public_surface():
-    for name in (
-        "BENCH_SEED",
-        "DEFAULT_SIZES",
-        "bench_engine",
-        "bench_frontend",
-        "bench_frontend_async",
-        "bench_loadgen",
-        "bench_resilience",
-        "bench_serving",
-        "bench_size",
-        "bench_trust",
-        "build_bench_deployment",
-        "format_bench_report",
-        "run_perf_bench",
-    ):
-        assert hasattr(facade, name), name
-    # The facade resolves to the same objects the registry package owns.
-    from repro.eval.bench import run_perf_bench as canonical
+SERVING_GATES = ["frontend", "frontend_async", "resilience", "trust"]
 
-    assert facade.run_perf_bench is canonical
+
+@pytest.mark.usefixtures("_leak_sanitizer")
+def test_serving_smoke_gates_pass_at_smoke_scale():
+    # The CI smoke configuration of every fleet-spawning section: wire
+    # and shard identity, kill -9 of each shard, resize, quorum repair,
+    # scrub, degraded serving and snapshot retention must all hold.
+    report = run_perf_bench(**SMOKE_KNOBS, only=SERVING_GATES)
+    assert set(SERVING_GATES) <= set(report)
+    assert smoke_failures(report) == []
+
+
+def _passing_records():
+    site = "square-3m"
+    wire = {
+        f"{transport}_bit_identical": True
+        for transport in ("http", "unix", "tcp")
+    }
+    kill = {
+        "failed_queries": 0,
+        "mismatched_queries": 0,
+        "recovered": True,
+        "recovery_s": 0.02,
+        "snapshots_restored": 2,
+    }
+    return {
+        "frontend": {
+            "per_site": {site: dict(wire)},
+            "shards": {"1": {"bit_identical": True}},
+            "error_contract": {"http": True, "unix": True, "tcp": True},
+        },
+        "resilience": {
+            "zero_loss": True,
+            "recovered": True,
+            "snapshots_restored": 2,
+            "snapshot_warm_bit_identical": True,
+            "kills": {str(victim): dict(kill) for victim in range(3)},
+            "post_recovery_bit_identical": True,
+            "resize": {"bit_identical": True},
+        },
+        "trust": {
+            "corruption_episode": {
+                "failed_queries": 0,
+                "mismatched_queries": 0,
+                "read_divergences": 1,
+                "quarantines": 1,
+                "repairs": 1,
+            },
+            "scrub": {"divergent_sites": [], "quarantined": 0},
+            "silent_corruption": {
+                "detected": True,
+                "repaired": 1,
+                "post_scrub_bit_identical": True,
+            },
+            "degraded": {"stale": True, "bit_identical": True, "error": None},
+            "snapshot_soak": {"bounded": True, "files_pruned": 5},
+        },
+    }
+
+
+@pytest.mark.parametrize(
+    ("section", "path", "value", "field"),
+    [
+        ("resilience", ("kills", "1", "mismatched_queries"), 1, "kills.1"),
+        ("resilience", ("kills", "2", "recovered"), False, "kills.2"),
+        (
+            "resilience",
+            ("kills", "0", "snapshots_restored"),
+            0,
+            "snapshots_restored",
+        ),
+        ("resilience", ("resize", "bit_identical"), False, "resize"),
+        ("frontend", ("error_contract", "tcp"), False, "error_contract.tcp"),
+        (
+            "frontend",
+            ("per_site", "square-3m", "tcp_bit_identical"),
+            False,
+            "tcp_bit_identical",
+        ),
+        (
+            "trust",
+            ("silent_corruption", "detected"),
+            False,
+            "silent_corruption",
+        ),
+        ("trust", ("degraded", "stale"), False, "stale=False"),
+        ("trust", ("snapshot_soak", "files_pruned"), 0, "files_pruned"),
+    ],
+)
+def test_each_serving_gate_names_its_field(section, path, value, field):
+    record = _passing_records()[section]
+    gates = get_section(section).smoke_gates
+    assert gates(record) == []
+    broken = copy.deepcopy(record)
+    target = broken
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    failures = gates(broken)
+    assert failures and any(field in failure for failure in failures)
+
+
+def test_identical_compares_scores_when_present():
+    cells, positions = np.array([1, 2]), np.array([[0.5, 1.0], [1.5, 2.0]])
+    scores = np.array([[-1.0, -2.0], [-3.0, -4.0]])
+    reference = SimpleNamespace(cells=cells, positions=positions, scores=scores)
+    flipped = scores.copy()
+    flipped[1, 1] = np.nextafter(flipped[1, 1], 0.0)
+    assert identical(reference, reference)
+    assert identical(
+        SimpleNamespace(cells=cells, positions=positions, scores=None),
+        reference,
+    )
+    assert not identical(
+        SimpleNamespace(cells=cells, positions=positions, scores=flipped),
+        reference,
+    )

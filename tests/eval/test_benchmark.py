@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.eval.benchmark import (
+from repro.eval.bench import (
     bench_engine,
     build_bench_deployment,
     format_bench_report,
