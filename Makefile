@@ -22,7 +22,7 @@ PYTHON ?= python
 PYTHONPATH_SRC = PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test lint typecheck analyze bench bench-smoke bench-figures \
-	frontend-smoke resilience-smoke loadgen-smoke
+	frontend-smoke resilience-smoke loadgen-smoke perfbench
 
 test:
 	$(PYTHON) -m pytest -q
@@ -88,3 +88,16 @@ loadgen-smoke:
 
 bench-figures:
 	$(PYTHON) -m pytest benchmarks -q -p no:cacheprovider
+
+# The end-to-end serving benchmark declared in BENCHMARK.json: one 30 s
+# run of each workload at seed 1 against a real `serve` process, printing
+# each run's result line. The full reports land in .perfbench_out/
+# (gitignored); a failed or invalid run prints its report and exits 1.
+perfbench:
+	@mkdir -p .perfbench_out
+	@for workload in interactive refresh; do \
+		python3 perfbench/run.py --workload $$workload --seed 1 \
+			--seconds 30 > .perfbench_out/$$workload.txt || \
+			{ cat .perfbench_out/$$workload.txt; exit 1; }; \
+		echo "$$workload: $$(tail -n 1 .perfbench_out/$$workload.txt)"; \
+	done

@@ -15,11 +15,16 @@ After reconstruction, "the real-time RSS measurements are collected as
 All matchers consume a :class:`~repro.core.fingerprint.FingerprintMatrix`
 and a grid so they can translate cells to coordinates.
 
-The primitive operation is :meth:`Matcher.match_batch`: an entire
-``(frames, links)`` trace is scored against every grid cell in one
-broadcasted pass, which is what gives trace-level localization its
-throughput (see ``benchmarks/bench_perf.py``). Per-frame :meth:`Matcher.match`
-is a thin single-row wrapper around it.
+:meth:`Matcher.match_batch` scores an entire ``(frames, links)`` trace
+against every grid cell in one broadcasted pass, which is what gives
+trace-level localization its throughput (see ``benchmarks/bench_perf.py``).
+Per-frame :meth:`Matcher.match` has its own one-frame kernel: the same
+``(1, links) @ templates`` product as a batch of one, then 1-D selection and
+a :class:`MatchResult` built directly. It returns exactly the bits of
+``match_batch(vector[None, :])[0]``, scores included (pinned by a property
+test), without the batch path's per-row gathers and result boxing. Template
+squared norms are computed once per matcher, and matchers are cached per
+epoch (:meth:`repro.core.pipeline.TafLoc.matcher_for_day`).
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ import numpy as np
 
 from repro.core.fingerprint import FingerprintMatrix
 from repro.sim.geometry import Grid, Point
-from repro.util.validation import check_positive
+from repro.util.validation import check_finite, check_positive
 
 #: Cap on the elements of one broadcasted (frames, links, cells) distance
 #: block; larger traces are scored in frame chunks to bound peak memory.
@@ -116,9 +121,21 @@ class BatchMatchResult:
 
 
 class Matcher(abc.ABC):
-    """Interface of fingerprint matchers."""
+    """Interface of fingerprint matchers.
 
-    def __init__(self, fingerprint: FingerprintMatrix, grid: Grid) -> None:
+    Args:
+        fingerprint: The epoch to match against.
+        grid: The grid its columns cover.
+        templates: ``(links, cells)`` columns the live frames are compared
+            with; the fingerprint's values by default.
+    """
+
+    def __init__(
+        self,
+        fingerprint: FingerprintMatrix,
+        grid: Grid,
+        templates: Optional[np.ndarray] = None,
+    ) -> None:
         if fingerprint.cell_count != grid.cell_count:
             raise ValueError(
                 f"fingerprint covers {fingerprint.cell_count} cells, grid has "
@@ -127,15 +144,33 @@ class Matcher(abc.ABC):
         self.fingerprint = fingerprint
         self.grid = grid
         self._centers = grid.centers_array()
+        self._templates = fingerprint.values if templates is None else templates
+        # ||t||² per template column, the constant term of the Gram
+        # expansion in _distances_batch: computed once, not per call.
+        self._template_norms = np.sum(self._templates**2, axis=0)
 
     @abc.abstractmethod
     def match_batch(self, frames: np.ndarray) -> BatchMatchResult:
         """Estimate target locations for a whole ``(frames, links)`` trace."""
 
+    @abc.abstractmethod
+    def _match_row(self, frame: np.ndarray) -> MatchResult:
+        """The one-frame kernel behind :meth:`match`.
+
+        ``frame`` is one checked ``(1, links)`` row. The answer must equal
+        ``match_batch(frame)[0]`` bit for bit, so the distances keep the
+        batch path's shapes and only the selection is 1-D.
+        """
+
     def match(self, live_rss: np.ndarray) -> MatchResult:
         """Estimate the target location from one live RSS vector."""
-        vector = self._check_vector(live_rss)
-        return self.match_batch(vector[None, :])[0]
+        return self._match_row(self._check_vector(live_rss)[None, :])
+
+    def _result(self, cell: int, scores: np.ndarray) -> MatchResult:
+        """A result positioned at ``cell``'s center."""
+        return MatchResult(
+            cell=cell, position=Point(*self._centers[cell].tolist()), scores=scores
+        )
 
     def _check_vector(self, live_rss: np.ndarray) -> np.ndarray:
         vector = np.asarray(live_rss, dtype=float)
@@ -144,7 +179,7 @@ class Matcher(abc.ABC):
                 f"live vector shape {vector.shape} must be "
                 f"({self.fingerprint.link_count},)"
             )
-        return vector
+        return check_finite("live vector", vector)
 
     def _check_frames(self, frames: np.ndarray) -> np.ndarray:
         array = np.asarray(frames, dtype=float)
@@ -153,10 +188,10 @@ class Matcher(abc.ABC):
                 f"frames shape {array.shape} must be "
                 f"(n_frames, {self.fingerprint.link_count})"
             )
-        return array
+        return check_finite("frames", array)
 
     def _distances_batch(
-        self, frames: np.ndarray, templates: np.ndarray, metric: str = "euclidean"
+        self, frames: np.ndarray, metric: str = "euclidean"
     ) -> np.ndarray:
         """``(frames, cells)`` distances between rows and template columns.
 
@@ -168,11 +203,10 @@ class Matcher(abc.ABC):
         distances have no such factorization and broadcast the delta tensor
         in frame chunks to bound peak memory.
         """
+        templates = self._templates
         if metric in ("euclidean", "sqeuclidean"):
-            squared = np.sum(frames**2, axis=1)[:, None] - 2.0 * (
-                frames @ templates
-            )
-            squared += np.sum(templates**2, axis=0)[None, :]
+            squared = (frames**2).sum(axis=1)[:, None] - 2.0 * (frames @ templates)
+            squared += self._template_norms[None, :]
             np.maximum(squared, 0.0, out=squared)
             if metric == "sqeuclidean":
                 return squared
@@ -206,11 +240,12 @@ class NearestNeighborMatcher(Matcher):
         use_dips: bool = False,
         live_empty_rss: Optional[np.ndarray] = None,
     ) -> None:
-        super().__init__(fingerprint, grid)
         if metric not in ("euclidean", "manhattan"):
             raise ValueError(f"unknown metric {metric!r}")
         self.metric = metric
         self.use_dips = use_dips
+        self._live_empty = None
+        templates = None
         if use_dips:
             empty = (
                 fingerprint.empty_rss if live_empty_rss is None else np.asarray(
@@ -223,20 +258,24 @@ class NearestNeighborMatcher(Matcher):
                     f"({fingerprint.link_count},)"
                 )
             self._live_empty = empty
-            self._templates = fingerprint.dips()
-        else:
-            self._live_empty = None
-            self._templates = fingerprint.values
+            templates = fingerprint.dips()
+        super().__init__(fingerprint, grid, templates)
 
-    def match_batch(self, frames: np.ndarray) -> BatchMatchResult:
-        vectors = self._check_frames(frames)
+    def _distances(self, vectors: np.ndarray) -> np.ndarray:
         if self.use_dips:
             vectors = self._live_empty[None, :] - vectors
-        distances = self._distances_batch(vectors, self._templates, self.metric)
+        return self._distances_batch(vectors, self.metric)
+
+    def match_batch(self, frames: np.ndarray) -> BatchMatchResult:
+        distances = self._distances(self._check_frames(frames))
         cells = np.argmin(distances, axis=1)
         return BatchMatchResult(
             cells=cells, positions=self._centers[cells], scores=-distances
         )
+
+    def _match_row(self, frame: np.ndarray) -> MatchResult:
+        distances = self._distances(frame)[0]
+        return self._result(int(np.argmin(distances)), -distances)
 
 
 class KnnMatcher(Matcher):
@@ -265,8 +304,7 @@ class KnnMatcher(Matcher):
         self.epsilon = epsilon
 
     def match_batch(self, frames: np.ndarray) -> BatchMatchResult:
-        vectors = self._check_frames(frames)
-        distances = self._distances_batch(vectors, self.fingerprint.values)
+        distances = self._distances_batch(self._check_frames(frames))
         if self.k < distances.shape[1]:
             nearest = np.argpartition(distances, self.k, axis=1)[:, : self.k]
             # argpartition leaves the k winners unordered; order them so the
@@ -278,12 +316,32 @@ class KnnMatcher(Matcher):
         else:
             order = np.argsort(distances, axis=1)[:, : self.k]
         best_distances = np.take_along_axis(distances, order, axis=1)
-        weights = 1.0 / (best_distances + self.epsilon)
-        weights = weights / weights.sum(axis=1, keepdims=True)
-        positions = np.einsum("fk,fkd->fd", weights, self._centers[order])
         return BatchMatchResult(
-            cells=order[:, 0], positions=positions, scores=-distances
+            cells=order[:, 0],
+            positions=self._weighted_centers(best_distances, order),
+            scores=-distances,
         )
+
+    def _match_row(self, frame: np.ndarray) -> MatchResult:
+        distances = self._distances_batch(frame)[0]
+        if self.k < distances.shape[0]:
+            nearest = np.argpartition(distances, self.k)[: self.k]
+            order = nearest[np.argsort(distances[nearest])]
+        else:
+            order = np.argsort(distances)[: self.k]
+        position = self._weighted_centers(distances[order][None, :], order[None, :])
+        return MatchResult(
+            cell=int(order[0]),
+            position=Point(*position[0].tolist()),
+            scores=-distances,
+        )
+
+    def _weighted_centers(self, distances: np.ndarray, order: np.ndarray) -> np.ndarray:
+        """Inverse-distance-weighted ``(frames, 2)`` centroids of the
+        ``(frames, k)`` nearest cells ``order`` at ``distances``."""
+        weights = 1.0 / (distances + self.epsilon)
+        weights = weights / weights.sum(axis=1, keepdims=True)
+        return np.einsum("fk,fkd->fd", weights, self._centers[order])
 
 
 class ProbabilisticMatcher(Matcher):
@@ -318,9 +376,7 @@ class ProbabilisticMatcher(Matcher):
     def log_likelihoods_batch(self, frames: np.ndarray) -> np.ndarray:
         """Unnormalized Gaussian log-likelihoods, shape ``(frames, cells)``."""
         vectors = self._check_frames(frames)
-        squared = self._distances_batch(
-            vectors, self.fingerprint.values, "sqeuclidean"
-        )
+        squared = self._distances_batch(vectors, "sqeuclidean")
         return -0.5 * squared / self.sigma_db**2
 
     def log_likelihoods(self, live_rss: np.ndarray) -> np.ndarray:
@@ -348,6 +404,10 @@ class ProbabilisticMatcher(Matcher):
             positions=self._centers[cells],
             scores=np.log(posteriors + 1e-300),
         )
+
+    def _match_row(self, frame: np.ndarray) -> MatchResult:
+        posterior = self.posterior_batch(frame)[0]
+        return self._result(int(np.argmax(posterior)), np.log(posterior + 1e-300))
 
 
 def expected_position(posterior: np.ndarray, grid: Grid) -> Point:

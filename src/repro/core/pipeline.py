@@ -176,9 +176,10 @@ class TafLoc:
         :meth:`FingerprintDatabase.add` bumps the database version (a new
         epoch can change which fingerprint serves a given day), so the
         steady-state query path — many localizations against the same
-        epoch — allocates nothing per call. ``refresh=True`` forces a
-        rebuild (the pre-cache behavior, kept for benchmarking the rebuild
-        cost and for callers that mutate matcher state).
+        epoch — never rebuilds a matcher (nor its template norms).
+        ``refresh=True`` forces a rebuild (the pre-cache behavior, kept for
+        benchmarking the rebuild cost and for callers that mutate matcher
+        state).
 
         The lookup tolerates a concurrent :meth:`update` (e.g. the serving
         layer's background refresh scheduler appending an epoch while query

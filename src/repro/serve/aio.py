@@ -61,6 +61,12 @@ LocalizationService` — warm queries are µs-scale numpy calls, cheaper
 inline than a thread handoff) or ``"offload"`` (:class:`~repro.serve.
 shard.ShardedService` — a routed call can park on a worker pipe, so it
 runs on a thread pool and the loop keeps serving other requests).
+An inline request that is not streamed is answered in the connection
+loop itself, id or not: no task, ``dispatch`` called directly, the
+response line written straight to the transport, and ``drain()``
+awaited only once the transport buffers more than a fixed high-water
+mark. Offloaded requests and streamed traces get a task per request
+(when they carry an id) and drain after every line they write.
 
 Bit-identity with in-process answers holds on every transport: same
 ``dispatch``, same JSON float round-trip, same 400/404/409/503 error
@@ -114,6 +120,12 @@ DEFAULT_DISPATCH_WORKERS = 8
 _HTTP_REQUEST_LINE = re.compile(
     rb"([!#$%&'*+.^_`|~0-9A-Za-z-]+) (\S+) HTTP/1\.([0-9])\r?\n"
 )
+
+#: Bytes an inline answer may leave in the transport's write buffer before
+#: the connection loop awaits ``drain()`` (asyncio's default high-water
+#: mark), so a client that pipelines without reading cannot grow it
+#: without bound.
+_DRAIN_HIGH_WATER = 64 * 1024
 
 #: Header lines accepted per HTTP request (the stdlib server's bound).
 _MAX_HTTP_HEADERS = 100
@@ -560,6 +572,22 @@ class AioFrontend:
     async def _spawn(
         self, writer, lock, tasks, req_id, method, params, stream, chunk
     ) -> bool:
+        if self._mode == "inline" and not stream:
+            # An inline dispatch is synchronous anyway: answer right here,
+            # in request order, with no task and no per-line drain.
+            try:
+                status, body = dispatch(self.backend, method, params)
+            except DropResponse:
+                writer.close()  # fault injection: sever instead of replying
+                return True
+            response: Dict[str, Any] = {"status": status, "body": body}
+            if req_id is not None:
+                response["id"] = req_id
+            writer.write(encode(response))
+            if writer.transport.get_write_buffer_size() > _DRAIN_HIGH_WATER:
+                async with lock:
+                    await writer.drain()
+            return False
         if req_id is None:
             # No id -> the client cannot match out-of-order responses;
             # answer sequentially so responses stay in request order.

@@ -251,8 +251,8 @@ class SiteManager:
         """The (lazily materialized, fingerprint-cached) pipeline for ``site``.
 
         The first lookup per site fingerprints its spec to find (or build)
-        the shared pipeline; later lookups are a plain dict hit, keeping
-        the steady-state routing path allocation-free.
+        the shared pipeline; later lookups are a plain dict hit, so the
+        steady-state routing path does no per-call work beyond it.
         """
         return self._resolve(site)
 

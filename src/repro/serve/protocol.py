@@ -64,6 +64,7 @@ true}`` line will follow instead of inline ``params["frames"]``.
 from __future__ import annotations
 
 import json
+import math
 from typing import (
     Any,
     Dict,
@@ -270,9 +271,13 @@ def _require(params: Dict[str, Any], *names: str) -> list:
 
 def _as_day(value: Any) -> float:
     try:
-        return float(value)
+        day = float(value)
     except (TypeError, ValueError):
         raise ValueError(f"day must be a number, got {value!r}") from None
+    if not math.isfinite(day):
+        # json parses NaN and Infinity; no epoch can serve such a day.
+        raise ValueError(f"day must be finite, got {value!r}")
+    return day
 
 
 def _as_frames(value: Any) -> np.ndarray:
@@ -352,11 +357,12 @@ def _handle_query(backend: Any, params: Dict[str, Any]) -> Dict[str, Any]:
     epoch serving that day), 503 (not commissioned / no live replica).
     """
     site, rss, day = _require(params, "site", "rss", "day")
-    result = backend.query(str(site), _as_rss(rss), _as_day(day))
+    day = _as_day(day)
+    result = backend.query(str(site), _as_rss(rss), day)
     cell = int(result.cell)
     body = {
         "site": site,
-        "day": _as_day(day),
+        "day": day,
         "cell": cell,
         "position": [float(result.position.x), float(result.position.y)],
         "score": float(result.scores[cell]),

@@ -3,9 +3,10 @@
 :class:`LocalizationService` is the serving layer's public surface. It owns a
 :class:`~repro.serve.manager.SiteManager` and answers localization queries by
 routing them to the site's commissioned pipeline, whose epoch-keyed matcher
-cache (see :meth:`repro.core.pipeline.TafLoc.matcher_for_day`) makes the warm
-query path allocation-free: a steady stream of same-day queries reuses one
-matcher object and runs straight through the batch matching kernels.
+cache (see :meth:`repro.core.pipeline.TafLoc.matcher_for_day`) keeps the warm
+query path free of per-call set-up: a steady stream of same-day queries
+reuses one matcher object (template norms included) and runs straight
+through its one-frame or batch matching kernel.
 
 Error contract (what a front-end can rely on for input validation):
 

@@ -47,8 +47,9 @@ def check_matrix(
 def check_finite(name: str, value: np.ndarray) -> np.ndarray:
     """Ensure an array contains no NaN or infinity."""
     array = np.asarray(value)
-    if not np.all(np.isfinite(array)):
-        bad = int(np.count_nonzero(~np.isfinite(array)))
+    finite = np.isfinite(array)
+    if not finite.all():
+        bad = int(np.count_nonzero(~finite))
         raise ValueError(f"{name} contains {bad} non-finite entries")
     return array
 

@@ -1,9 +1,9 @@
 """Batch/loop equivalence of the matching layer.
 
-The per-frame ``match`` path is a thin wrapper over ``match_batch``; these
-tests pin the batch kernels to an explicit per-frame reference computation
-(re-implementing the original loop semantics), so a regression in the
-broadcasting cannot hide behind the wrapper.
+These tests pin the batch kernels to an explicit per-frame reference
+computation (re-implementing the original loop semantics), so a regression
+in the broadcasting cannot hide. The per-frame ``match`` kernel is pinned
+bit for bit to ``match_batch`` by ``test_match_row_kernel.py``.
 """
 
 import numpy as np

@@ -10,6 +10,8 @@ all bit-identical to the in-process service.
 import asyncio
 import json
 import socket
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -21,6 +23,9 @@ from repro.serve import (
     ServiceClient,
     ShardedService,
 )
+from repro.serve.aio import _DRAIN_HIGH_WATER
+from repro.serve.faults import FlakyService
+from repro.serve.protocol import dispatch, encode, merge_trace_stream
 from repro.sim.collector import CollectionProtocol, LiveTrace, RssCollector
 
 PROTOCOL = CollectionProtocol(samples_per_cell=2, empty_room_samples=5)
@@ -30,6 +35,20 @@ SEED = 13
 
 def run(coro):
     return asyncio.run(coro)
+
+
+def strict_json(line):
+    """Parse one response line as strict JSON: NaN/Infinity refused."""
+
+    def refuse(token):
+        raise ValueError(f"non-JSON constant {token} on the wire")
+
+    return json.loads(line, parse_constant=refuse)
+
+
+def wire_body(body):
+    """``body`` as a client decodes it off the wire."""
+    return json.loads(encode(body))
 
 
 @pytest.fixture(scope="module")
@@ -235,6 +254,191 @@ class TestAioErrorContract:
         assert isinstance(bad, ValueError)
         assert first.cell == second.cell
         assert not isinstance(first, Exception)
+
+
+    def test_non_finite_ndjson_lines_are_400(self, frontend, traces):
+        """json parses NaN and Infinity, so they reach the server; frames
+        and days carrying them get a strict-JSON 400, and the connection
+        keeps serving."""
+        good = json.dumps(traces["hq"].rss[0].tolist())
+        lines = [
+            '{"id": 1, "method": "query", "params": '
+            '{"site": "hq", "day": 0, "rss": [NaN, -50.0]}}',
+            '{"id": 2, "method": "query_batch", "params": {"site": "hq", '
+            '"day": 0, "frames": [[-50.0, Infinity]], "per_frame": true}}',
+            '{"id": 3, "method": "query", "params": '
+            f'{{"site": "hq", "day": NaN, "rss": {good}}}}}',
+            '{"id": 4, "method": "query", "params": '
+            f'{{"site": "hq", "day": 0, "rss": {good}}}}}',
+        ]
+        with socket.create_connection(
+            ("127.0.0.1", frontend.port), timeout=5.0
+        ) as sock:
+            sock.sendall("".join(line + "\n" for line in lines).encode())
+            reader = sock.makefile("rb")
+            answers = [strict_json(reader.readline()) for _ in lines]
+        by_id = {answer["id"]: answer for answer in answers}
+        for req_id in (1, 2, 3):
+            assert by_id[req_id]["status"] == 400
+            assert by_id[req_id]["body"]["error"] == "ValueError"
+        assert "non-finite" in by_id[1]["body"]["message"]
+        assert "non-finite" in by_id[2]["body"]["message"]
+        assert "day must be finite" in by_id[3]["body"]["message"]
+        assert by_id[4]["status"] == 200
+
+
+class TestInlineAnswerPath:
+    """Non-streamed requests to an inline backend are answered in the
+    connection loop, without a task and without a per-line drain."""
+
+    def test_large_unstreamed_trace_with_id_arrives_whole(
+        self, frontend, service, traces
+    ):
+        frames = np.tile(traces["hq"].rss, (400, 1))
+        params = {
+            "site": "hq",
+            "day": 0.0,
+            "frames": frames.tolist(),
+            "include_scores": True,
+        }
+        expected = wire_body(dispatch(service, "query_trace", params)[1])
+        # A unix socket buffers a few hundred KiB at most, so the answer
+        # outgrows it and the server must buffer past the high-water mark
+        # and drain; loopback TCP could swallow it whole.
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+            sock.settimeout(10.0)
+            sock.connect(frontend.unix_path)
+            sock.sendall(
+                encode({"id": 7, "method": "query_trace", "params": params})
+                + encode({"id": 8, "method": "sites", "params": {}})
+            )
+            time.sleep(0.2)  # read late, once the server has buffered
+            reader = sock.makefile("rb")
+            big, small = reader.readline(), reader.readline()
+        assert len(big) > 4 * _DRAIN_HIGH_WATER
+        answer = strict_json(big)
+        assert (answer["id"], answer["status"]) == (7, 200)
+        assert answer["body"] == expected
+        assert strict_json(small)["body"]["sites"] == ["hq", "lab"]
+
+    def test_pipelined_singles_beside_a_streamed_trace(
+        self, frontend, service, traces
+    ):
+        """Inline answers interleave with a streamed trace's chunks on
+        one connection: every line parses, every id is answered once."""
+        frames = np.tile(traces["hq"].rss, (100, 1))
+        singles = {index: traces["hq"].rss[index % 9] for index in range(120)}
+        upload = [
+            encode(
+                {
+                    "id": "trace",
+                    "method": "query_trace",
+                    "params": {"site": "hq", "day": 0.0, "include_scores": True},
+                    "stream": True,
+                    "chunk": 16,
+                    "frames_follow": True,
+                }
+            )
+        ]
+        for start in range(0, len(frames), 64):
+            upload.append(
+                encode({"id": "trace", "frames": frames[start : start + 64].tolist()})
+            )
+        upload.append(encode({"id": "trace", "end": True}))
+        queries = [
+            encode(
+                {
+                    "id": index,
+                    "method": "query",
+                    "params": {"site": "hq", "rss": frame.tolist(), "day": 0.0},
+                }
+            )
+            for index, frame in singles.items()
+        ]
+        received = []
+        streaming = threading.Event()
+
+        def read_all(sock):
+            reader = sock.makefile("rb")
+            while True:
+                line = reader.readline()
+                if not line:
+                    return
+                received.append(strict_json(line))
+                if received[-1].get("stream"):
+                    # Stall while the singles arrive: the trace's chunks
+                    # fill the socket, so its task waits in drain() and
+                    # the singles are answered between its chunks.
+                    streaming.set()
+                    time.sleep(0.2)
+                if sum(isinstance(m.get("id"), int) for m in received) == len(
+                    singles
+                ) and any(m.get("end") for m in received):
+                    return
+
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+            sock.settimeout(10.0)
+            sock.connect(frontend.unix_path)
+            thread = threading.Thread(target=read_all, args=(sock,))
+            thread.start()
+            sock.sendall(b"".join(upload))
+            assert streaming.wait(timeout=10.0)
+            for start in range(0, len(queries), 40):
+                sock.sendall(b"".join(queries[start : start + 40]))
+            thread.join(timeout=10.0)
+        assert not thread.is_alive()
+        answered = [m["id"] for m in received if isinstance(m.get("id"), int)]
+        assert sorted(answered) == sorted(singles)
+        for message in received:
+            if not isinstance(message.get("id"), int):
+                continue
+            reference = service.query("hq", singles[message["id"]], 0.0)
+            assert message["status"] == 200
+            assert message["body"]["cell"] == reference.cell
+            assert message["body"]["position"] == [
+                reference.position.x,
+                reference.position.y,
+            ]
+            assert message["body"]["score"] == reference.scores[reference.cell]
+        positions = [index for index, m in enumerate(received) if m["id"] == "trace"]
+        assert any(
+            isinstance(m["id"], int)
+            for m in received[positions[0] : positions[-1]]
+        ), "no single was answered while the trace streamed"
+        stream = [received[index] for index in positions]
+        header = stream[0]
+        assert header["stream"] and header["status"] == 200
+        assert stream[-1].get("end")
+        merged = merge_trace_stream(header, stream[1:])
+        expected = dispatch(
+            service,
+            "query_trace",
+            {"site": "hq", "day": 0.0, "frames": frames, "include_scores": True},
+        )[1]
+        assert merged == wire_body(expected)
+
+    def test_drop_response_severs_only_that_connection(self, service, traces):
+        flaky = FlakyService(service, drop_calls={0}, methods={"query"})
+        frame = traces["hq"].rss[0]
+        request = encode(
+            {
+                "id": 1,
+                "method": "query",
+                "params": {"site": "hq", "rss": frame.tolist(), "day": 0.0},
+            }
+        )
+        with AioFrontend(flaky) as fe:
+            with socket.create_connection(("127.0.0.1", fe.port), timeout=5.0) as sock:
+                sock.sendall(request)
+                assert sock.makefile("rb").readline() == b""  # severed
+            with socket.create_connection(("127.0.0.1", fe.port), timeout=5.0) as sock:
+                sock.sendall(request)
+                answer = strict_json(sock.makefile("rb").readline())
+        assert flaky.dropped == 1
+        reference = service.query("hq", frame, 0.0)
+        assert (answer["id"], answer["status"]) == (1, 200)
+        assert answer["body"]["cell"] == reference.cell
+        assert answer["body"]["score"] == reference.scores[reference.cell]
 
 
 class TestAioServerBehavior:

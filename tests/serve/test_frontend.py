@@ -133,6 +133,39 @@ class TestProtocolDispatch:
         assert dispatch(service, "health", {})[1]["sites"] == 2
         assert dispatch(service, "sites", {})[1]["sites"] == ["hq", "lab"]
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_rss_is_400(self, service, traces, bad):
+        """json parses NaN and Infinity; a frame carrying one must be
+        refused, not answered with a NaN position."""
+        frame = traces["hq"].rss[0].tolist()
+        frame[0] = bad
+        frames = [traces["hq"].rss[1].tolist(), frame]
+        for method, params in (
+            ("query", {"site": "hq", "rss": frame, "day": 0.0}),
+            ("query_batch", {"site": "hq", "frames": frames, "day": 0.0}),
+            (
+                "query_batch",
+                {"site": "hq", "frames": frames, "day": 0.0, "per_frame": True},
+            ),
+            ("query_trace", {"site": "hq", "frames": frames, "day": 0.0}),
+        ):
+            status, body = dispatch(service, method, params)
+            assert (status, body["error"]) == (400, "ValueError"), method
+            assert "non-finite" in body["message"], method
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_day_is_400(self, service, traces, bad):
+        frame = traces["hq"].rss[0].tolist()
+        for method, params in (
+            ("query", {"site": "hq", "rss": frame, "day": bad}),
+            ("query_batch", {"site": "hq", "frames": [frame], "day": bad}),
+            ("query_trace", {"site": "hq", "frames": [frame], "day": bad}),
+            ("staleness", {"site": "hq", "day": bad}),
+        ):
+            status, body = dispatch(service, method, params)
+            assert (status, body["error"]) == (400, "ValueError"), method
+            assert "day must be finite" in body["message"], method
+
 
 @pytest.mark.parametrize("client_fixture", ["http_client", "unix_client"])
 class TestWireIdentity:
