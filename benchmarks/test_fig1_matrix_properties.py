@@ -50,7 +50,7 @@ def analyze_matrix_properties(system, deployment):
     rng = np.random.default_rng(0)
 
     adjacent_diffs, random_diffs = [], []
-    g = continuity_operator(deployment.grid)
+    g = continuity_operator(deployment.grid).toarray()
     for p in range(g.shape[1]):
         a, b = np.flatnonzero(g[:, p])
         for i in range(dips.shape[0]):
@@ -64,7 +64,7 @@ def analyze_matrix_properties(system, deployment):
                 random_diffs.append(abs(dips[i, a] - dips[i, b]))
 
     link_diffs, link_random = [], []
-    h = similarity_operator(deployment)
+    h = similarity_operator(deployment).toarray()
     for p in range(h.shape[0]):
         a, b = np.flatnonzero(h[p])
         for j in range(dips.shape[1]):

@@ -145,7 +145,7 @@ class RtiLocalizer(DeviceFreeLocalizer):
     def _build_solver(self) -> np.ndarray:
         """Precompute ``(WᵀW + α CᵀC + εI)⁻¹ Wᵀ`` once per deployment."""
         w = self._weights
-        difference = continuity_operator(self.deployment.grid).T  # pairs x cells
+        difference = continuity_operator(self.deployment.grid).toarray().T  # pairs x cells
         gram = w.T @ w + self.config.regularization * (difference.T @ difference)
         gram += 1e-6 * np.eye(gram.shape[0])
         return np.linalg.solve(gram, w.T)

@@ -38,6 +38,9 @@ Two half-step backends are available (``LoliIrConfig.method``):
   slower than the PCG default on the benchmarked workloads (see the config
   docstring and EXPERIMENTS.md).
 
+  The smoothness operators ``G``/``H`` stay ``scipy.sparse`` CSR throughout:
+  an application costs ``O(links·pairs)``, and no update densifies them.
+
 * ``"cg"`` — the original matrix-free conjugate-gradient solve of each
   half-step, kept as the reference implementation for cross-validation and
   for benchmarking the fast path's speedup.
@@ -58,6 +61,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
+from scipy.sparse import csc_array, csr_array, issparse
+from scipy.sparse.linalg import splu
 
 from repro.core.completion import mean_fill
 from repro.util.linalg import (
@@ -66,15 +71,6 @@ from repro.util.linalg import (
     preconditioned_conjugate_gradient,
 )
 from repro.util.validation import check_matrix, check_positive
-
-try:  # scipy is optional: the dense fallback is exact, just slower.
-    from scipy.sparse import csc_array as _csc_array
-    from scipy.sparse import csr_array as _csr_array
-    from scipy.sparse.linalg import splu as _splu
-except ImportError:  # pragma: no cover - exercised only without scipy
-    _csc_array = None
-    _csr_array = None
-    _splu = None
 
 
 @dataclass(frozen=True)
@@ -124,7 +120,6 @@ class LoliIrConfig:
               ``"pcg"`` — the numeric factorization costs ~35 ms at
               square-12m against 2–3 ms PCG sweeps, and the frozen LU
               goes stale as the iterates move (see EXPERIMENTS.md, PR 3).
-              Requires scipy.
             * ``"auto"`` (default) — currently resolves to ``"pcg"``, the
               measured-faster backend on every benchmarked size.
         accelerate: Safeguarded extrapolation of the outer loop. The
@@ -237,14 +232,17 @@ class LoliIrProblem:
         continuity_weights: ``W_g``, shape ``(links, pairs_g)``.
         similarity_op: ``H``, shape ``(pairs_h, links)``.
         similarity_weights: ``W_h``, shape ``(pairs_h, cells)``.
+
+    The operators may be given dense or sparse; they are stored as
+    ``scipy.sparse.csr_array`` (a dense one is converted once, here).
     """
 
     observed_mask: np.ndarray
     observed_values: np.ndarray
     lrr_target: Optional[np.ndarray] = None
-    continuity_op: Optional[np.ndarray] = None
+    continuity_op: Optional[csr_array] = None
     continuity_weights: Optional[np.ndarray] = None
-    similarity_op: Optional[np.ndarray] = None
+    similarity_op: Optional[csr_array] = None
     similarity_weights: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
@@ -268,7 +266,7 @@ class LoliIrProblem:
         if (self.continuity_op is None) != (self.continuity_weights is None):
             raise ValueError("continuity_op and continuity_weights come together")
         if self.continuity_op is not None:
-            g = check_matrix("continuity_op", self.continuity_op, allow_empty=True)
+            g = _as_csr("continuity_op", self.continuity_op)
             w = check_matrix(
                 "continuity_weights", self.continuity_weights, allow_empty=True
             )
@@ -286,7 +284,7 @@ class LoliIrProblem:
         if (self.similarity_op is None) != (self.similarity_weights is None):
             raise ValueError("similarity_op and similarity_weights come together")
         if self.similarity_op is not None:
-            h = check_matrix("similarity_op", self.similarity_op, allow_empty=True)
+            h = _as_csr("similarity_op", self.similarity_op)
             w = check_matrix(
                 "similarity_weights", self.similarity_weights, allow_empty=True
             )
@@ -305,6 +303,13 @@ class LoliIrProblem:
     @property
     def shape(self):
         return self.observed_values.shape
+
+
+def _as_csr(name: str, operator) -> csr_array:
+    """A smoothness operator as a float CSR matrix (dense input converted)."""
+    if not issparse(operator):
+        operator = check_matrix(name, operator, allow_empty=True)
+    return csr_array(operator, dtype=float)
 
 
 def _outer_rows(matrix: np.ndarray) -> np.ndarray:
@@ -407,7 +412,7 @@ class _DirectCoupledSolver:
         size = self.rows * k
         # Duplicate COO slots (several pairs hitting one diagonal block)
         # sum into place during the CSC conversion.
-        self._lu = _splu(_csc_array((data, (rows, cols)), shape=(size, size)))
+        self._lu = splu(csc_array((data, (rows, cols)), shape=(size, size)))
 
     def solve(
         self,
@@ -457,18 +462,20 @@ class _DirectCoupledSolver:
 class _CompiledProblem:
     """Per-solve cache of everything the half-step solves touch repeatedly.
 
-    The raw :class:`LoliIrProblem` stores the smoothness operators as dense
-    matrices. This cache compiles, once per solve:
+    The raw :class:`LoliIrProblem` already holds the smoothness operators as
+    CSR, so nothing here is densified. This cache derives, once per solve:
 
-    * ``G``/``H`` (and their transposes) as CSR — both are sparse difference
-      operators, so every application drops from ``O(links·cells·pairs)`` to
-      ``O(links·pairs)``;
+    * the CSR transposes ``Gᵀ``/``Hᵀ`` — every application of a difference
+      operator costs ``O(links·pairs)``;
     * the squared operators ``G∘G`` / ``H∘H`` (CSR) and squared gate weights
       ``W²`` — the fixed quadratic structure from which the ``"gram"`` method
       assembles its per-row normal-equation blocks and the exact diagonal of
       the coupling terms (for the block-Cholesky CG preconditioner);
     * the observation mask as a float matrix (GEMM operand for the per-row
       observed Gram ``Rᵀ diag(B_i) R``) and the right-hand-side matrix.
+
+    A dense incidence matrix is built lazily, and only for
+    ``coupled_solver="direct"`` (its ``splu`` assembly walks it).
 
     All arrays are cast to the configured dtype so a float32 solve never
     mixes precisions inside the hot loop.
@@ -483,10 +490,6 @@ class _CompiledProblem:
         dtype = np.dtype(config.dtype)
         self.shape = problem.shape
         self.dtype = dtype
-        if config.coupled_solver == "direct" and _splu is None:
-            raise RuntimeError(
-                "coupled_solver='direct' requires scipy; use 'pcg' or 'auto'"
-            )
         # "auto" resolves to the PCG path: the exact-diagonal block
         # preconditioner, rebuilt per sweep, measurably beats a cached LU
         # on every benchmarked deployment (see LoliIrConfig docstring).
@@ -519,11 +522,9 @@ class _CompiledProblem:
             weights = problem.continuity_weights.astype(dtype)
             self.continuity_weights = weights
             self.continuity_weights_sq = weights * weights
-            operator = problem.continuity_op.astype(dtype)
-            self._g = self._sparsify(operator)
-            self._gt = self._sparsify(operator.T)
-            self._g_sq = self._sparsify(operator * operator)
-            self._g_dense = operator
+            self._g = problem.continuity_op.astype(dtype, copy=False)
+            self._gt = self._g.T.tocsr()
+            self._g_sq = self._g.power(2)
             self._g_direct: Optional[_DirectCoupledSolver] = None
 
         self.similarity_weights: Optional[np.ndarray] = None
@@ -536,11 +537,9 @@ class _CompiledProblem:
             weights = problem.similarity_weights.astype(dtype)
             self.similarity_weights = weights
             self.similarity_weights_sq = weights * weights
-            operator = problem.similarity_op.astype(dtype)
-            self._h = self._sparsify(operator)
-            self._ht = self._sparsify(operator.T)
-            self._h_sq_t = self._sparsify((operator * operator).T)
-            self._h_dense = operator
+            self._h = problem.similarity_op.astype(dtype, copy=False)
+            self._ht = self._h.T.tocsr()
+            self._h_sq_t = self._ht.power(2)
             self._h_direct: Optional[_DirectCoupledSolver] = None
 
         # d(objective)/dX̂ right-hand side, computed once per solve.
@@ -549,24 +548,14 @@ class _CompiledProblem:
             rhs = rhs + config.lrr_weight * self.lrr_target
         self.rhs = rhs.astype(dtype)
 
-    @staticmethod
-    def _sparsify(operator: np.ndarray):
-        if _csr_array is None or operator.size == 0:
-            return operator
-        return _csr_array(operator)
-
-    # -- operator applications (CSR-aware) -----------------------------
+    # -- operator applications ----------------------------------------
     def apply_g(self, matrix: np.ndarray) -> np.ndarray:
         """``matrix @ G`` (column differences across cell pairs)."""
-        if _csr_array is not None and not isinstance(self._g, np.ndarray):
-            return (self._gt @ matrix.T).T
-        return matrix @ self._g
+        return (self._gt @ matrix.T).T
 
     def apply_gt(self, matrix: np.ndarray) -> np.ndarray:
         """``matrix @ G.T`` (adjoint scatter back onto cells)."""
-        if _csr_array is not None and not isinstance(self._g, np.ndarray):
-            return (self._g @ matrix.T).T
-        return matrix @ self._gt
+        return (self._g @ matrix.T).T
 
     def apply_h(self, matrix: np.ndarray) -> np.ndarray:
         """``H @ matrix`` (row differences across link pairs)."""
@@ -618,7 +607,7 @@ class _CompiledProblem:
         if not self.use_direct_coupled:
             return None
         if self._g_direct is None:
-            self._g_direct = self._direct_for("g", self._g_dense)
+            self._g_direct = self._direct_for("g", self._g.toarray())
         return self._g_direct
 
     def similarity_direct(self) -> Optional[_DirectCoupledSolver]:
@@ -626,7 +615,7 @@ class _CompiledProblem:
         if not self.use_direct_coupled:
             return None
         if self._h_direct is None:
-            self._h_direct = self._direct_for("h", self._h_dense.T)
+            self._h_direct = self._direct_for("h", self._ht.toarray())
         return self._h_direct
 
 

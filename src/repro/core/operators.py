@@ -13,8 +13,11 @@ largely-distorted entries ``X_D``:
   (one location), adjacent links see similar RSS. ``H`` acts on the left,
   differencing the rows of spatially adjacent link pairs.
 
-Both are returned as dense numpy matrices (the testbeds here are tiny:
-M ~ tens of links, N ~ hundreds to thousands of cells).
+Both are incidence matrices with two nonzeros per pair, so they are built
+directly as canonical ``scipy.sparse.csr_array`` matrices — sorted indices,
+no duplicates, the same ``indptr``/``indices``/``data`` as ``csr_array`` of
+the dense definition — and stay sparse through the solve. Call
+``.toarray()`` where dense math is wanted.
 """
 
 from __future__ import annotations
@@ -22,12 +25,13 @@ from __future__ import annotations
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from repro.sim.deployment import Deployment
 from repro.sim.geometry import Grid
 
 
-def continuity_operator(grid: Grid) -> np.ndarray:
+def continuity_operator(grid: Grid) -> csr_array:
     """Column-difference operator ``G`` of shape ``(cells, pairs)``.
 
     ``(X @ G)[:, p]`` is the RSS difference across the ``p``-th pair of
@@ -35,19 +39,16 @@ def continuity_operator(grid: Grid) -> np.ndarray:
     columns of the reconstruction together, implementing "RSS measurements at
     neighbor locations along a particular link are continuous".
     """
-    pairs = _adjacent_cell_pairs(grid)
-    operator = np.zeros((grid.cell_count, len(pairs)))
-    for p, (a, b) in enumerate(pairs):
-        operator[a, p] = -1.0
-        operator[b, p] = 1.0
-    return operator
+    pairs = _pair_array(_adjacent_cell_pairs(grid))
+    index, ends, data = _incidence_entries(pairs)
+    return csr_array((data, (ends, index)), shape=(grid.cell_count, len(pairs)))
 
 
 def similarity_operator(
     deployment: Deployment,
     *,
     pairs: Optional[Sequence[Tuple[int, int]]] = None,
-) -> np.ndarray:
+) -> csr_array:
     """Row-difference operator ``H`` of shape ``(pairs, links)``.
 
     ``(H @ X)[p, :]`` is the RSS difference between the ``p``-th pair of
@@ -55,34 +56,52 @@ def similarity_operator(
     specific location from adjacent links are similar". ``pairs`` overrides
     the deployment's own adjacency (useful in tests).
     """
-    link_pairs = list(pairs) if pairs is not None else deployment.adjacent_link_pairs()
-    operator = np.zeros((len(link_pairs), deployment.link_count))
-    for p, (a, b) in enumerate(link_pairs):
-        if not (0 <= a < deployment.link_count and 0 <= b < deployment.link_count):
-            raise ValueError(f"link pair ({a}, {b}) out of range")
-        operator[p, a] = -1.0
-        operator[p, b] = 1.0
-    return operator
+    link_pairs = _pair_array(
+        pairs if pairs is not None else deployment.adjacent_link_pairs()
+    )
+    bad = (link_pairs < 0) | (link_pairs >= deployment.link_count)
+    bad = bad.any(axis=1) | (link_pairs[:, 0] == link_pairs[:, 1])
+    if bad.any():
+        pair = tuple(link_pairs[bad.argmax()].tolist())
+        raise ValueError(f"link pair {pair} out of range or degenerate")
+    index, ends, data = _incidence_entries(link_pairs)
+    return csr_array(
+        (data, (index, ends)), shape=(len(link_pairs), deployment.link_count)
+    )
 
 
 def masked_pair_weights(
-    mask: np.ndarray, grid: Grid
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Weights restricting the smoothness penalties to distorted entries.
+    mask: np.ndarray, pairs: np.ndarray, *, axis: int
+) -> np.ndarray:
+    """Gate weights restricting a smoothness penalty to distorted entries.
 
-    Returns:
-        continuity_weights: shape ``(links, pairs_G)``; entry ``(i, p)`` is 1
-            when *both* cells of column pair ``p`` are largely distorted on
-            link ``i`` — only then does the paper's continuity property apply.
-        similarity_row_mask: shape ``(links, cells)`` float copy of ``mask``,
-            used by the solver to gate the H penalty per entry.
+    ``pairs`` is a ``(P, 2)`` array of index pairs along ``axis`` of the
+    ``(links, cells)`` distortion ``mask``: cell pairs (``axis=1``) give the
+    continuity weights ``W_g`` of shape ``(links, P)``, link pairs
+    (``axis=0``) the similarity weights ``W_h`` of shape ``(P, cells)``. An
+    entry is 1 when *both* ends of its pair are largely distorted — only
+    there does the paper's smoothness property apply. The result is
+    C-contiguous float64, the layout the solver's GEMMs expect.
     """
     mask = np.asarray(mask, dtype=bool)
-    pairs = _adjacent_cell_pairs(grid)
-    continuity_weights = np.zeros((mask.shape[0], len(pairs)))
-    for p, (a, b) in enumerate(pairs):
-        continuity_weights[:, p] = mask[:, a] & mask[:, b]
-    return continuity_weights, mask.astype(float)
+    pairs = _pair_array(pairs)
+    both = np.take(mask, pairs[:, 0], axis=axis) & np.take(
+        mask, pairs[:, 1], axis=axis
+    )
+    return np.ascontiguousarray(both, dtype=float)
+
+
+def _pair_array(pairs) -> np.ndarray:
+    # int32 indices: the index dtype csr_array picks for a dense matrix.
+    return np.asarray(pairs, dtype=np.int32).reshape(-1, 2)
+
+
+def _incidence_entries(pairs: np.ndarray):
+    """COO entries of a pair-incidence operator: ``-1`` at the first end and
+    ``+1`` at the second end of every pair (``csr_array`` sorts them)."""
+    index = np.repeat(np.arange(len(pairs), dtype=np.int32), 2)
+    data = np.tile([-1.0, 1.0], len(pairs))
+    return index, pairs.ravel(), data
 
 
 def _adjacent_cell_pairs(grid: Grid) -> list:

@@ -23,7 +23,11 @@ from repro.core.distortion import DistortionProfile, build_distortion_profile
 from repro.core.fingerprint import FingerprintMatrix
 from repro.core.loli_ir import LoliIrConfig, LoliIrProblem, LoliIrResult, LoliIrSolver
 from repro.core.lrr import LrrConfig, LrrModel, fit_lrr
-from repro.core.operators import continuity_operator, similarity_operator
+from repro.core.operators import (
+    continuity_operator,
+    masked_pair_weights,
+    similarity_operator,
+)
 from repro.core.reference import ReferenceSelection, select_references
 from repro.sim.deployment import Deployment
 from repro.util.rng import RandomState
@@ -135,10 +139,18 @@ class Reconstructor:
             undistorted_threshold_db=config.undistorted_threshold_db,
             distorted_threshold_db=config.distorted_threshold_db,
         )
+        # G and H stay CSR from birth to solve. A pair's two nonzeros are
+        # its ends; W_g / W_h gate each pair to the entries where both ends
+        # are largely distorted — only there does property iii apply.
         self._continuity_op = continuity_operator(deployment.grid)
         self._similarity_op = similarity_operator(deployment)
-        self._continuity_weights = self._build_continuity_weights()
-        self._similarity_weights = self._build_similarity_weights()
+        mask = self.profile.largely_distorted
+        self._continuity_weights = masked_pair_weights(
+            mask, self._continuity_op.tocsc().indices, axis=1
+        )
+        self._similarity_weights = masked_pair_weights(
+            mask, self._similarity_op.indices, axis=0
+        )
         self._solver = LoliIrSolver(config.solver)
         self._warm_factors = None
 
@@ -225,25 +237,3 @@ class Reconstructor:
             observed_values=observed_values,
             lrr_target=lrr_target,
         )
-
-    def _build_continuity_weights(self) -> np.ndarray:
-        """``W_g``: gate each adjacent-cell pair to links where both cells
-        are largely distorted — only there does property iii apply."""
-        mask = self.profile.largely_distorted
-        g = self._continuity_op
-        weights = np.zeros((mask.shape[0], g.shape[1]))
-        for p in range(g.shape[1]):
-            cells = np.flatnonzero(g[:, p])
-            weights[:, p] = mask[:, cells[0]] & mask[:, cells[1]]
-        return weights
-
-    def _build_similarity_weights(self) -> np.ndarray:
-        """``W_h``: gate each adjacent-link pair to cells where both links
-        are largely distorted."""
-        mask = self.profile.largely_distorted
-        h = self._similarity_op
-        weights = np.zeros((h.shape[0], mask.shape[1]))
-        for p in range(h.shape[0]):
-            links = np.flatnonzero(h[p])
-            weights[p] = mask[links[0]] & mask[links[1]]
-        return weights
