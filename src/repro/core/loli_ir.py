@@ -32,11 +32,7 @@ Two half-step backends are available (``LoliIrConfig.method``):
   augmented with the coupling's exact diagonal — become a block-Cholesky
   preconditioner for a matrix-free CG on the coupled system, which converges
   in a few iterations because the coupling weights (γ) are small against the
-  per-row curvature. An exact sparse-LU alternative (cached ``splu``
-  factorization reused across sweeps and solves) is available as
-  ``LoliIrConfig.coupled_solver="direct"`` for cross-validation; it measures
-  slower than the PCG default on the benchmarked workloads (see the config
-  docstring and EXPERIMENTS.md).
+  per-row curvature.
 
   The smoothness operators ``G``/``H`` stay ``scipy.sparse`` CSR throughout:
   an application costs ``O(links·pairs)``, and no update densifies them.
@@ -58,11 +54,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
-from scipy.sparse import csc_array, csr_array, issparse
-from scipy.sparse.linalg import splu
+from scipy.sparse import csr_array, issparse
 
 from repro.core.completion import mean_fill
 from repro.util.linalg import (
@@ -96,32 +91,10 @@ class LoliIrConfig:
             objective restricted to that factor, so outer monotonicity holds
             at any inner tolerance.
         method: Half-step backend: ``"gram"`` (precomputed Gram structure,
-            closed-form ``k×k`` solves, direct or preconditioned-CG coupled
-            solves when a coupling term is active) or ``"cg"`` (the original
-            matrix-free CG reference).
-        coupled_solver: Backend for the *coupled* half-steps of the
-            ``"gram"`` method (continuity couples the R-step's cell rows,
-            similarity the L-step's link rows):
-
-            * ``"pcg"`` — block-Cholesky-preconditioned matrix-free CG:
-              the per-row ``k×k`` blocks, augmented with the coupling's
-              exact diagonal, are re-factorized every sweep; because they
-              carry the dominant (and fast-changing) curvature while the
-              coupling weight γ is small, CG converges in ≤ ~11
-              iterations of cheap batched matvecs.
-            * ``"direct"`` — assemble the coupled normal equations as one
-              sparse block system (block diagonal + one ``k×k`` block per
-              smoothness pair), factorize it exactly with
-              ``scipy.sparse.linalg.splu`` on the first coupled sweep,
-              and reuse that LU across later sweeps *and solves* as a CG
-              preconditioner. Kept for cross-validation (it solves the
-              first sweep exactly) and for structurally harder couplings;
-              on the paper-family workloads it **measures slower** than
-              ``"pcg"`` — the numeric factorization costs ~35 ms at
-              square-12m against 2–3 ms PCG sweeps, and the frozen LU
-              goes stale as the iterates move (see EXPERIMENTS.md, PR 3).
-            * ``"auto"`` (default) — currently resolves to ``"pcg"``, the
-              measured-faster backend on every benchmarked size.
+            closed-form ``k×k`` solves, block-Cholesky-preconditioned CG
+            for the coupled half-steps — continuity couples the R-step's
+            cell rows, similarity the L-step's link rows) or ``"cg"`` (the
+            original matrix-free CG reference).
         accelerate: Safeguarded extrapolation of the outer loop. The
             alternating map converges linearly with a stable contraction
             ratio (one dominant error direction), so after each sweep the
@@ -148,7 +121,6 @@ class LoliIrConfig:
     cg_tol: float = 1e-7
     cg_max_iter: int = 200
     method: str = "gram"
-    coupled_solver: str = "auto"
     accelerate: bool = True
     dtype: str = "float64"
 
@@ -157,11 +129,6 @@ class LoliIrConfig:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
         if self.method not in ("gram", "cg"):
             raise ValueError(f"method must be gram or cg, got {self.method!r}")
-        if self.coupled_solver not in ("auto", "direct", "pcg"):
-            raise ValueError(
-                f"coupled_solver must be auto, direct or pcg, "
-                f"got {self.coupled_solver!r}"
-            )
         if self.dtype not in ("float32", "float64"):
             raise ValueError(
                 f"dtype must be float32 or float64, got {self.dtype!r}"
@@ -321,144 +288,6 @@ def _outer_rows(matrix: np.ndarray) -> np.ndarray:
     return (matrix[:, :, None] * matrix[:, None, :]).reshape(matrix.shape[0], -1)
 
 
-class _DirectCoupledSolver:
-    """Cached ``splu`` factorization for one coupled half-step, reused
-    across outer sweeps.
-
-    A coupled half-step is the linear system
-
-        [blockdiag(B_r) + γ Σ_p (m_p m_pᵀ) ⊗ C_p] x = rhs
-
-    over the ``(n, k)`` factor ``x``, where ``m_p`` is column ``p`` of the
-    smoothness incidence operator (two nonzeros per pair), ``B_r`` are the
-    per-row normal-equation blocks and ``C_p`` the per-pair coupling
-    blocks — both of which change every sweep with the opposite factor.
-    Two things are stable enough to cache:
-
-    * The *structure* — which (row, row) block slot each pair touches, with
-      which scalar coefficient, and the scalar COO index arrays of the
-      expanded ``(n·k, n·k)`` system — never changes. It is computed once
-      per solve; refilling the numeric values each assembly is a handful of
-      fancy-indexing ops.
-    * The *factorization* — the first coupled sweep assembles the system
-      and factorizes it exactly with ``scipy.sparse.linalg.splu`` (the
-      system is SPD: λI sits in every diagonal block). Later sweeps see a
-      system that has only drifted with the alternating iterates, so the
-      frozen LU is an excellent preconditioner: they run CG with
-      ``LU⁻¹`` as the preconditioner and converge in a couple of
-      iterations, each costing one operator application plus a
-      millisecond-scale triangular back-solve — no refactorization. This
-      is what beats rebuilding either a fresh factorization (the numeric
-      ``splu`` dominates at 400-cell scale) or the per-sweep
-      block-Cholesky preconditioner of the ``"pcg"`` path.
-    """
-
-    def __init__(self, incidence: np.ndarray) -> None:
-        incidence = np.asarray(incidence)
-        self.incidence = incidence.copy()  # identity check for cache reuse
-        self.rows = incidence.shape[0]
-        block_rows: List[int] = [*range(self.rows)]  # base-diagonal slots
-        block_cols: List[int] = [*range(self.rows)]
-        pair_index: List[int] = []
-        pair_coef: List[float] = []
-        for p in range(incidence.shape[1]):
-            nonzero = np.nonzero(incidence[:, p])[0]
-            values = incidence[nonzero, p]
-            for i, row in enumerate(nonzero):
-                for j, col in enumerate(nonzero):
-                    block_rows.append(int(row))
-                    block_cols.append(int(col))
-                    pair_index.append(p)
-                    pair_coef.append(float(values[i] * values[j]))
-        self._block_rows = np.asarray(block_rows, dtype=np.int64)
-        self._block_cols = np.asarray(block_cols, dtype=np.int64)
-        self._pair_index = np.asarray(pair_index, dtype=np.int64)
-        self._pair_coef = np.asarray(pair_coef, dtype=np.float64)
-        self._scalar_k = -1
-        self._scalar_rows: Optional[np.ndarray] = None
-        self._scalar_cols: Optional[np.ndarray] = None
-        self._lu = None
-
-    def _scalar_indices(self, k: int) -> Tuple[np.ndarray, np.ndarray]:
-        if self._scalar_k != k:
-            offsets = np.arange(k, dtype=np.int64)
-            rows = (
-                self._block_rows[:, None, None] * k + offsets[None, :, None]
-            ) + np.zeros((1, 1, k), dtype=np.int64)
-            cols = (
-                self._block_cols[:, None, None] * k + offsets[None, None, :]
-            ) + np.zeros((1, k, 1), dtype=np.int64)
-            self._scalar_rows = rows.reshape(-1)
-            self._scalar_cols = cols.reshape(-1)
-            self._scalar_k = k
-        return self._scalar_rows, self._scalar_cols
-
-    def _factorize(
-        self,
-        base_blocks: np.ndarray,
-        coupling_blocks: np.ndarray,
-        gamma: float,
-        k: int,
-    ) -> None:
-        rows, cols = self._scalar_indices(k)
-        pair_data = (
-            gamma
-            * self._pair_coef[:, None, None]
-            * coupling_blocks[self._pair_index].astype(np.float64)
-        )
-        data = np.concatenate(
-            [base_blocks.astype(np.float64), pair_data], axis=0
-        ).reshape(-1)
-        size = self.rows * k
-        # Duplicate COO slots (several pairs hitting one diagonal block)
-        # sum into place during the CSC conversion.
-        self._lu = splu(csc_array((data, (rows, cols)), shape=(size, size)))
-
-    def solve(
-        self,
-        operator: Callable[[np.ndarray], np.ndarray],
-        base_blocks: np.ndarray,
-        coupling_blocks: np.ndarray,
-        gamma: float,
-        rhs: np.ndarray,
-        *,
-        x0: np.ndarray,
-        tol: float,
-        max_iter: int,
-    ) -> Tuple[np.ndarray, int]:
-        """Solve the current coupled system; ``(solution (n, k), inner)``.
-
-        The first call factorizes and back-solves exactly (0 inner
-        iterations); later calls reuse that LU as a CG preconditioner on
-        the *current* operator, so the answer converges to the current
-        system's solution at ``tol`` regardless of how far the iterates
-        have moved since the factorization.
-        """
-        k = rhs.shape[1]
-        if self._lu is None or self._scalar_k != k:
-            self._factorize(base_blocks, coupling_blocks, gamma, k)
-            solution = self._lu.solve(
-                np.asarray(rhs, dtype=np.float64).reshape(-1)
-            )
-            return solution.reshape(self.rows, k), 0
-
-        def preconditioner(residual: np.ndarray) -> np.ndarray:
-            flat = self._lu.solve(
-                np.asarray(residual, dtype=np.float64).reshape(-1)
-            )
-            return flat.reshape(residual.shape).astype(residual.dtype, copy=False)
-
-        result = preconditioned_conjugate_gradient(
-            operator,
-            rhs,
-            preconditioner=preconditioner,
-            x0=x0,
-            tol=tol,
-            max_iter=max_iter,
-        )
-        return result.solution, result.iterations
-
-
 class _CompiledProblem:
     """Per-solve cache of everything the half-step solves touch repeatedly.
 
@@ -474,32 +303,14 @@ class _CompiledProblem:
     * the observation mask as a float matrix (GEMM operand for the per-row
       observed Gram ``Rᵀ diag(B_i) R``) and the right-hand-side matrix.
 
-    A dense incidence matrix is built lazily, and only for
-    ``coupled_solver="direct"`` (its ``splu`` assembly walks it).
-
     All arrays are cast to the configured dtype so a float32 solve never
     mixes precisions inside the hot loop.
     """
 
-    def __init__(
-        self,
-        problem: LoliIrProblem,
-        config: LoliIrConfig,
-        direct_cache: Optional[Dict] = None,
-    ) -> None:
+    def __init__(self, problem: LoliIrProblem, config: LoliIrConfig) -> None:
         dtype = np.dtype(config.dtype)
         self.shape = problem.shape
         self.dtype = dtype
-        # "auto" resolves to the PCG path: the exact-diagonal block
-        # preconditioner, rebuilt per sweep, measurably beats a cached LU
-        # on every benchmarked deployment (see LoliIrConfig docstring).
-        self.use_direct_coupled = config.coupled_solver == "direct"
-        # Solver-instance cache of _DirectCoupledSolver handles: an
-        # incremental refresh loop (one Reconstructor, many updates) reuses
-        # one LU across *solves*, not just across sweeps. A stale LU is
-        # still a valid SPD preconditioner — CG targets the current
-        # operator — so sharing across drifting problems is safe.
-        self._direct_cache = direct_cache if direct_cache is not None else {}
         self.observed_mask = problem.observed_mask
         self.mask_float = problem.observed_mask.astype(dtype)
         self.observed_values = problem.observed_values.astype(dtype)
@@ -525,7 +336,6 @@ class _CompiledProblem:
             self._g = problem.continuity_op.astype(dtype, copy=False)
             self._gt = self._g.T.tocsr()
             self._g_sq = self._g.power(2)
-            self._g_direct: Optional[_DirectCoupledSolver] = None
 
         self.similarity_weights: Optional[np.ndarray] = None
         self.similarity_weights_sq: Optional[np.ndarray] = None
@@ -540,7 +350,6 @@ class _CompiledProblem:
             self._h = problem.similarity_op.astype(dtype, copy=False)
             self._ht = self._h.T.tocsr()
             self._h_sq_t = self._ht.power(2)
-            self._h_direct: Optional[_DirectCoupledSolver] = None
 
         # d(objective)/dX̂ right-hand side, computed once per solve.
         rhs = self.observed_scaled
@@ -584,50 +393,12 @@ class _CompiledProblem:
         pairs = pair_blocks.shape[0]
         return self._h_sq_t @ pair_blocks.reshape(pairs, -1)
 
-    # -- cached direct coupled solvers (LU reused across sweeps/solves) --
-    def _direct_for(self, role: str, incidence: np.ndarray) -> _DirectCoupledSolver:
-        # Keyed by a cheap structural summary, then verified by content:
-        # the handle's first solve back-substitutes its cached structure
-        # exactly (no CG correction), so a summary collision must rebuild
-        # rather than reuse.
-        key = (
-            role,
-            incidence.shape,
-            int(np.count_nonzero(incidence)),
-            float(np.float64(incidence.sum())),
-        )
-        cached = self._direct_cache.get(key)
-        if cached is None or not np.array_equal(cached.incidence, incidence):
-            cached = _DirectCoupledSolver(incidence)
-            self._direct_cache[key] = cached
-        return cached
-
-    def continuity_direct(self) -> Optional[_DirectCoupledSolver]:
-        """Direct solver for the G-coupled R-step, or ``None`` (PCG path)."""
-        if not self.use_direct_coupled:
-            return None
-        if self._g_direct is None:
-            self._g_direct = self._direct_for("g", self._g.toarray())
-        return self._g_direct
-
-    def similarity_direct(self) -> Optional[_DirectCoupledSolver]:
-        """Direct solver for the H-coupled L-step, or ``None`` (PCG path)."""
-        if not self.use_direct_coupled:
-            return None
-        if self._h_direct is None:
-            self._h_direct = self._direct_for("h", self._ht.toarray())
-        return self._h_direct
-
 
 class LoliIrSolver:
     """Alternating solver for :class:`LoliIrProblem` (see module docstring)."""
 
     def __init__(self, config: Optional[LoliIrConfig] = None) -> None:
         self.config = config if config is not None else LoliIrConfig()
-        # Direct coupled-solver handles (sparse structure + frozen LU),
-        # shared across every solve() of this instance so refresh loops
-        # amortize the one numeric factorization (see _DirectCoupledSolver).
-        self._direct_cache: Dict = {}
 
     # ------------------------------------------------------------------
     # public API
@@ -662,7 +433,7 @@ class LoliIrSolver:
         cfg = self.config
         links, cells = problem.shape
         rank = min(cfg.rank, links, cells)
-        compiled = _CompiledProblem(problem, cfg, self._direct_cache)
+        compiled = _CompiledProblem(problem, cfg)
 
         warm_pair = None
         if warm_factors is not None and initial is None:
@@ -912,20 +683,6 @@ class LoliIrSolver:
             weighted = (coupling_blocks @ pair_rows[:, :, None])[:, :, 0]
             return out + cfg.similarity_weight * compiled.apply_ht(weighted)
 
-        direct = compiled.similarity_direct()
-        if direct is not None:
-            solution, inner = direct.solve(
-                operator,
-                blocks,
-                coupling_blocks,
-                cfg.similarity_weight,
-                rhs,
-                x0=left,
-                tol=self._inner_tol(rhs),
-                max_iter=cfg.cg_max_iter,
-            )
-            return solution.astype(dtype, copy=False), inner
-
         preconditioner_blocks = blocks + cfg.similarity_weight * (
             compiled.h_sq_diag(coupling_blocks).reshape(links, k, k)
         )
@@ -967,20 +724,6 @@ class LoliIrSolver:
             pair_rows = compiled.g_gather(candidate)  # (P, k)
             weighted = (coupling_blocks @ pair_rows[:, :, None])[:, :, 0]
             return out + cfg.continuity_weight * compiled.g_scatter(weighted)
-
-        direct = compiled.continuity_direct()
-        if direct is not None:
-            solution, inner = direct.solve(
-                operator,
-                blocks,
-                coupling_blocks,
-                cfg.continuity_weight,
-                rhs,
-                x0=right,
-                tol=self._inner_tol(rhs),
-                max_iter=cfg.cg_max_iter,
-            )
-            return solution.astype(dtype, copy=False), inner
 
         preconditioner_blocks = blocks + cfg.continuity_weight * (
             compiled.g_sq_diag(coupling_blocks).reshape(cells, k, k)

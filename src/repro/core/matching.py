@@ -18,13 +18,16 @@ and a grid so they can translate cells to coordinates.
 :meth:`Matcher.match_batch` scores an entire ``(frames, links)`` trace
 against every grid cell in one broadcasted pass, which is what gives
 trace-level localization its throughput (see ``benchmarks/bench_perf.py``).
-Per-frame :meth:`Matcher.match` has its own one-frame kernel: the same
-``(1, links) @ templates`` product as a batch of one, then 1-D selection and
-a :class:`MatchResult` built directly. It returns exactly the bits of
-``match_batch(vector[None, :])[0]``, scores included (pinned by a property
-test), without the batch path's per-row gathers and result boxing. Template
-squared norms are computed once per matcher, and matchers are cached per
-epoch (:meth:`repro.core.pipeline.TafLoc.matcher_for_day`).
+The distance kernel is batch-invariant: a frame's row has the same bits
+whatever batch it is scored in (pinned by a split-invariance property
+test), so a frame's answer never depends on how many other frames share
+its request. Per-frame :meth:`Matcher.match` has its own one-frame kernel:
+the same distances as a batch of one, then 1-D selection and a
+:class:`MatchResult` built directly. It returns exactly the bits of
+``match_batch(vector[None, :])[0]``, scores included, without the batch
+path's per-row gathers and result boxing. Template squared norms are
+computed once per matcher, and matchers are cached per epoch
+(:meth:`repro.core.pipeline.TafLoc.matcher_for_day`).
 """
 
 from __future__ import annotations
@@ -197,15 +200,21 @@ class Matcher(abc.ABC):
 
         Euclidean distances go through the Gram expansion
         ``||f - t||² = ||f||² - 2 f·t + ||t||²`` so the inner product runs
-        as one BLAS matmul — an order of magnitude faster than
-        materializing the ``(frames, links, cells)`` delta tensor, at the
-        cost of ~1e-12 relative rounding versus the direct form. Manhattan
-        distances have no such factorization and broadcast the delta tensor
-        in frame chunks to bound peak memory.
+        in BLAS — an order of magnitude faster than materializing the
+        ``(frames, links, cells)`` delta tensor, at the cost of ~1e-12
+        relative rounding versus the direct form. The product is a stacked
+        matmul, ``(frames, 1, links) @ (links, cells)``: numpy runs the same
+        ``(1, links) @ (links, cells)`` product for every frame, so row *i*
+        has the same bits whether it is scored alone or in a batch of any
+        size. One ``(frames, links) @ (links, cells)`` GEMM would block the
+        reduction by batch size and break that. Manhattan distances have no
+        such factorization and broadcast the delta tensor in frame chunks to
+        bound peak memory.
         """
         templates = self._templates
         if metric in ("euclidean", "sqeuclidean"):
-            squared = (frames**2).sum(axis=1)[:, None] - 2.0 * (frames @ templates)
+            inner = (frames[:, None, :] @ templates)[:, 0, :]
+            squared = (frames**2).sum(axis=1)[:, None] - 2.0 * inner
             squared += self._template_norms[None, :]
             np.maximum(squared, 0.0, out=squared)
             if metric == "sqeuclidean":

@@ -3,9 +3,8 @@
 Times the three production-critical operations on every configured
 deployment size, comparing the fast implementations against their
 reference counterparts (per-frame/per-cell loops; the matrix-free CG
-solver; the cached-splu coupled backend). Report key ``sizes`` (one row
-per scenario, host-stamped per row) — the shape the very first committed
-``BENCH_PR*.json`` used.
+solver). Report key ``sizes`` (one row per scenario, host-stamped per
+row) — the shape the very first committed ``BENCH_PR*.json`` used.
 """
 
 from __future__ import annotations
@@ -98,13 +97,6 @@ def bench_size(
     start = time.perf_counter()
     warm_iterations = updates(True)
     warm_s = time.perf_counter() - start
-    # Coupled-solver cross-check: the cached-splu direct backend vs the
-    # default PCG on the same refresh loop (the PR-3 measurement that
-    # settled "auto" on PCG — keep recording both so a future structural
-    # change that flips the balance shows up in the committed numbers).
-    start = time.perf_counter()
-    updates(False, LoliIrConfig(coupled_solver="direct"))
-    direct_cold_s = time.perf_counter() - start
 
     # --- serving: trace-level matching, batch vs per-frame loop ---------
     workload_rng = counter_stream(seed, 1)
@@ -119,16 +111,11 @@ def bench_size(
     batch_out = matcher.match_batch(trace.rss)
     loop_out = [matcher.match(frame) for frame in trace.rss]
     for index, single in enumerate(loop_out):
-        if int(batch_out.cells[index]) == single.cell:
-            continue
-        # Quantized RSS makes exact distance ties possible; batch-of-N and
-        # batch-of-1 BLAS rounding may break such a tie differently. Either
-        # winner is correct — only a genuine score gap is a disagreement.
-        gap = abs(
-            batch_out.scores[index][int(batch_out.cells[index])]
-            - batch_out.scores[index][single.cell]
-        )
-        if gap > 1e-6:
+        # The batch kernel is batch-invariant: every row has the lone
+        # query's bits, exact distance ties included.
+        if int(batch_out.cells[index]) != single.cell or (
+            batch_out.scores[index].tobytes() != single.scores.tobytes()
+        ):
             raise AssertionError(
                 f"batch and per-frame matching disagree on frame {index}"
             )
@@ -150,7 +137,6 @@ def bench_size(
             "cold_s": cold_s,
             "warm_s": warm_s,
             "legacy_cold_s": legacy_cold_s,
-            "coupled_direct_s": direct_cold_s,
             "speedup": legacy_cold_s / cold_s if cold_s > 0 else float("inf"),
             "cold_iterations": cold_iterations,
             "warm_iterations": warm_iterations,

@@ -246,7 +246,6 @@ def run_open_loop_aio(
     day: float = 0.0,
     connections: int = 1,
     depth: int = 16,
-    autobatch: int = 32,
 ) -> DriverResult:
     """Open-loop driver for the asyncio front-end (``tcp://`` NDJSON).
 
@@ -275,7 +274,7 @@ def run_open_loop_aio(
         cursor = [0]  # single-threaded loop: plain int is race-free
 
         async def one_connection() -> None:
-            async with AsyncServiceClient(address, autobatch=autobatch) as client:
+            async with AsyncServiceClient(address) as client:
                 window = asyncio.Semaphore(depth)
                 pending: List[asyncio.Task] = []
 

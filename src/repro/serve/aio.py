@@ -34,23 +34,20 @@
 **Transparent micro-batching.** Concurrent :meth:`AsyncServiceClient.
 query` calls that share ``(site, day, frame_length)`` within one
 event-loop tick are coalesced into a single ``query_batch`` wire
-request
-(up to ``autobatch`` frames), amortizing the JSON/syscall cost of the
-round trip. The request carries ``"per_frame": true`` so the server
-runs each frame through the exact single-query code path — a true
-batched GEMM uses a different BLAS reduction order and can flip the
-last mantissa bits at realistic link/cell counts — keeping every
-coalesced answer bit-identical to a lone ``query``. ``autobatch=0``
-disables coalescing entirely.
+request (up to :data:`AUTOBATCH_FRAMES` frames), amortizing the
+JSON/syscall cost of the round trip. The matching kernel is
+batch-invariant — a frame's row has the same bits in a batch of any
+size — so the server answers the batch in one backend call and every
+coalesced answer is bit-identical to a lone ``query``; the request asks
+for ``best_scores`` so each frame gets its ``score`` back.
 
 **Streamed ``query_trace``.** A long trace would otherwise buffer one
 whole JSON array on both ends. With ``"stream": true`` the server
-computes the trace in **one** backend call — chunking the compute would
-change BLAS reduction order and could break exact-distance ties,
-violating bit-identity — then emits the result as header + chunk +
-``end`` NDJSON lines (:func:`~repro.serve.protocol.iter_trace_stream`),
-draining after each chunk so server-side buffering stays flat. Uploads
-stream symmetrically via ``"frames_follow": true`` continuation lines.
+computes the trace in **one** backend call, then emits the result as
+header + chunk + ``end`` NDJSON lines
+(:func:`~repro.serve.protocol.iter_trace_stream`), draining after each
+chunk so server-side buffering stays flat. Uploads stream symmetrically
+via ``"frames_follow": true`` continuation lines.
 Peak per-message bytes on the client (:attr:`AsyncServiceClient.
 peak_message_bytes`) is therefore independent of trace length — the
 benchmark's flat-buffering gate.
@@ -113,6 +110,10 @@ __all__ = ["AioFrontend", "AsyncServiceClient"]
 #: shard pipe plus headroom), not the connection count — excess pool
 #: threads would only contend on the per-shard locks.
 DEFAULT_DISPATCH_WORKERS = 8
+
+#: Most frames one coalesced ``query_batch`` carries; a larger tick of
+#: concurrent :meth:`AsyncServiceClient.query` calls goes out as several.
+AUTOBATCH_FRAMES = 32
 
 #: An HTTP/1.x request line (``VERB SP target SP HTTP/1.x``). An NDJSON
 #: request line is a JSON object and starts with ``{``, so it can never
@@ -766,13 +767,6 @@ class AsyncServiceClient:
             ``chunk`` field.
         limit: Reader buffer cap, i.e. the largest single response line
             accepted (matters only for *non*-streamed long traces).
-        autobatch: Transparent micro-batching window for :meth:`query`:
-            concurrent single queries landing on the same event-loop
-            tick with the same ``(site, day, frame length)`` coalesce
-            into one wire ``query_batch`` of at most this many frames,
-            then fan back out — bit-identical per-frame answers, one
-            round trip per window. ``0`` disables (plain per-frame
-            ``query`` requests).
     """
 
     def __init__(
@@ -782,7 +776,6 @@ class AsyncServiceClient:
         timeout: float = 30.0,
         stream_chunk: int = STREAM_CHUNK_FRAMES,
         limit: int = DEFAULT_MAX_REQUEST_BYTES,
-        autobatch: int = 32,
     ) -> None:
         self.address = str(address)
         parts = urlsplit(self.address)
@@ -806,7 +799,6 @@ class AsyncServiceClient:
         self._timeout = float(timeout)
         self._stream_chunk = max(1, int(stream_chunk))
         self._limit = int(limit)
-        self._autobatch = max(0, int(autobatch))
         self._batch_groups: Dict[Tuple, List[Tuple]] = {}
         self._batch_flush_scheduled = False
         self._ids = itertools.count(1)
@@ -971,18 +963,16 @@ class AsyncServiceClient:
     async def query(self, site: str, rss, day: float) -> RemoteMatchResult:
         """One single-frame query (transparently micro-batched).
 
-        With ``autobatch`` >= 2 (the default), concurrent ``query()``
-        calls ready on the same event-loop tick that share
-        ``(site, day, frame length)`` coalesce into one wire
-        ``query_batch`` (with ``best_scores``) and fan back out: same
+        Concurrent ``query()`` calls ready on the same event-loop tick
+        that share ``(site, day, frame length)`` coalesce into wire
+        ``query_batch`` requests of at most :data:`AUTOBATCH_FRAMES`
+        frames (with ``best_scores``) and fan back out: same
         single-query semantics, bit-identical cell/position/score, one
         round trip per window instead of per call. The coalescing
         window is a single loop pass, so an isolated query gains no
         latency — it just goes out alone.
         """
         frame = np.asarray(rss, dtype=float).tolist()
-        if self._autobatch < 2:
-            return await self._query_plain(site, frame, day)
         await self.connect()
         loop = asyncio.get_running_loop()
         future = loop.create_future()
@@ -1012,10 +1002,10 @@ class AsyncServiceClient:
         self._batch_flush_scheduled = False
         groups, self._batch_groups = self._batch_groups, {}
         for (site, day, _), entries in groups.items():
-            for start in range(0, len(entries), self._autobatch):
+            for start in range(0, len(entries), AUTOBATCH_FRAMES):
                 loop.create_task(
                     self._query_coalesced(
-                        site, day, entries[start : start + self._autobatch]
+                        site, day, entries[start : start + AUTOBATCH_FRAMES]
                     )
                 )
 
@@ -1026,16 +1016,16 @@ class AsyncServiceClient:
             if len(entries) == 1:
                 results = [await self._query_plain(site, entries[0][0], day)]
             else:
-                # ``per_frame`` makes the server run each frame through the
-                # single-query code path, so coalescing N queries into one
-                # round trip cannot change a single bit of any answer.
+                # The batch kernel gives every row a lone query's bits, so
+                # coalescing N queries into one round trip cannot change a
+                # single bit of any answer.
                 body = await self.call(
                     "query_batch",
                     {
                         "site": site,
                         "frames": [frame for frame, _ in entries],
                         "day": day,
-                        "per_frame": True,
+                        "best_scores": True,
                     },
                 )
                 stale = bool(body.get("stale", False))

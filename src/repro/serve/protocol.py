@@ -49,10 +49,8 @@ which is what the one-at-a-time sync client transports rely on.
 **Streaming ``query_trace``.** A long trace would otherwise buffer one
 giant JSON array on both ends. A streaming request
 (``"stream": true``) makes the server compute the trace in **one**
-backend call — chunking the *compute* would change BLAS reduction order
-and could break exact-distance ties differently, violating bit-identity
-— and then emit the result as a header line, ``seq``-numbered chunk
-lines of at most ``chunk`` frames each, and an ``{"end": true}``
+backend call and then emit the result as a header line, ``seq``-numbered
+chunk lines of at most ``chunk`` frames each, and an ``{"end": true}``
 terminator (:func:`iter_trace_stream`). The client reassembles with
 :func:`merge_trace_stream`; the merged body is byte-identical to the
 non-streaming body, so bit-identity checks need no special casing.
@@ -71,7 +69,6 @@ from typing import (
     FrozenSet,
     Iterable,
     Iterator,
-    List,
     Optional,
     Tuple,
 )
@@ -321,35 +318,6 @@ def _batch_body(
     return body
 
 
-def _per_frame_batch_body(
-    backend: Any, site: str, frames: Any, day: float
-) -> Dict[str, Any]:
-    cells: List[int] = []
-    positions: List[List[float]] = []
-    best: List[float] = []
-    stale = False
-    for frame in np.asarray(frames, dtype=float):
-        result = backend.query(site, frame, day)
-        cell = int(result.cell)
-        cells.append(cell)
-        positions.append(
-            [float(result.position.x), float(result.position.y)]
-        )
-        best.append(float(result.scores[cell]))
-        stale = stale or bool(getattr(result, "stale", False))
-    body = {
-        "site": site,
-        "day": day,
-        "frame_count": len(cells),
-        "cells": cells,
-        "positions": positions,
-        "best": best,
-    }
-    if stale:
-        body["stale"] = True
-    return body
-
-
 def _handle_query(backend: Any, params: Dict[str, Any]) -> Dict[str, Any]:
     """Localize one RSS frame.
 
@@ -375,20 +343,16 @@ def _handle_query(backend: Any, params: Dict[str, Any]) -> Dict[str, Any]:
 def _handle_query_batch(
     backend: Any, params: Dict[str, Any]
 ) -> Dict[str, Any]:
-    """Localize a batch of frames (optionally per-frame for bit-identity).
+    """Localize a batch of frames in one backend call.
+
+    The matching kernel is batch-invariant, so every row equals the
+    answer a lone ``query`` of that frame would give, bit for bit.
 
     Errors: 400 (malformed params/frames), 404 (unknown site), 409 (no
     epoch serving that day), 503 (not commissioned / no live replica).
     """
     site, frames, day = _require(params, "site", "frames", "day")
     day = _as_day(day)
-    if params.get("per_frame"):
-        # Transparent client-side micro-batching rides on this: each frame
-        # goes through the exact single-query code path (batch-of-one GEMM)
-        # so the answers are bit-identical to N separate ``query`` calls.
-        # A true batched GEMM uses a different BLAS reduction order and can
-        # flip the last mantissa bits at realistic link/cell counts.
-        return _per_frame_batch_body(backend, str(site), _as_frames(frames), day)
     result = backend.query_batch(str(site), _as_frames(frames), day)
     body = _batch_body(site, day, result, bool(params.get("include_scores")))
     if params.get("best_scores") and result.scores is not None:
@@ -618,8 +582,7 @@ def iter_trace_stream(
     + ``frame_count``), then ``seq``-numbered chunk messages carrying at
     most ``chunk`` frames of each per-frame column, then ``{"end": true}``.
     The *compute* is already done — this chunks only the JSON encoding,
-    which is what preserves bit-identity (batch-of-N vs batch-of-1 BLAS
-    reductions may break exact-distance ties differently).
+    so the merged stream is byte-identical to the non-streamed body.
     """
     if chunk < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk}")

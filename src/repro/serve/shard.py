@@ -119,6 +119,10 @@ __all__ = [
 
 _READ_MODES = ("failover", "quorum")
 
+#: Longest a close waits for a shard's in-flight respawn (old worker
+#: stopped, new one spawned and warmed) before stopping it regardless.
+_RESPAWN_WAIT_S = 30.0
+
 _JUMP_LCG = 2862933555777941757
 _MASK64 = (1 << 64) - 1
 
@@ -328,7 +332,8 @@ class _Shard:
     manager kwargs — and therefore, with a snapshot directory, the same
     state), and :meth:`close` escalates join → terminate → kill and
     reports which stage finally fired instead of silently falling through
-    the timeout.
+    the timeout. A worker already marked :attr:`dead` skips the join: it
+    is signalled at once.
     """
 
     def __init__(
@@ -417,7 +422,9 @@ class _Shard:
 
         ``"clean"`` — exited on the shutdown message; ``"terminate"`` —
         needed SIGTERM; ``"kill"`` — needed SIGKILL; ``"leaked"`` — still
-        alive after all three (surfaced, never silent).
+        alive after all three (surfaced, never silent); ``"dead"`` — the
+        shard was already marked :attr:`dead`, so it was signalled
+        without the clean path.
         """
         stage = self._shutdown(timeout=timeout)
         self.close_stage = stage
@@ -425,18 +432,25 @@ class _Shard:
         return stage
 
     def _shutdown(self, timeout: float) -> str:
-        stage = "clean"
-        try:
-            self.connection.send(None)
-        except (BrokenPipeError, OSError):
-            pass
-        self.process.join(timeout=timeout)
+        if self.dead:
+            # Hung past a call timeout, its pipe broken, or not yet warm
+            # after a respawn: not worth waiting on a shutdown reply.
+            stage = "dead"
+        else:
+            stage = "clean"
+            try:
+                self.connection.send(None)
+            except (BrokenPipeError, OSError):
+                pass
+            self.process.join(timeout=timeout)
         if self.process.is_alive():
-            stage = "terminate"
+            if stage == "clean":
+                stage = "terminate"
             self.process.terminate()
             self.process.join(timeout=timeout)
             if self.process.is_alive():  # pragma: no cover - defensive
-                stage = "kill"
+                if stage == "terminate":
+                    stage = "kill"
                 self.process.kill()
                 self.process.join(timeout=timeout)
                 if self.process.is_alive():
@@ -449,9 +463,21 @@ class _Shard:
 
 
 def _close_shards(shards: List[_Shard]) -> Dict[int, str]:
-    stages = {shard.index: shard.close() for shard in shards}
+    stages = {}
+    for shard in shards:
+        # Wait out an in-flight respawn (it closes its worker itself once
+        # the service is closed): two threads stopping one process race to
+        # reap it, and the loser's join then sees it alive forever.
+        waited = shard.respawn_lock.acquire(timeout=_RESPAWN_WAIT_S)
+        try:
+            stages[shard.index] = shard.close()
+        finally:
+            if waited:
+                shard.respawn_lock.release()
     escalated = {
-        index: stage for index, stage in stages.items() if stage != "clean"
+        index: stage
+        for index, stage in stages.items()
+        if stage not in ("clean", "dead")
     }
     if escalated:
         warnings.warn(

@@ -1,5 +1,6 @@
-"""Solver modes of LoLi-IR: the Gram fast path vs the matrix-free CG
-reference, float32, and warm-started solves."""
+"""Solver modes of LoLi-IR: the Gram fast path (block-Cholesky PCG on
+the coupled half-steps) vs the matrix-free CG reference, float32, and
+warm-started solves."""
 
 import numpy as np
 import pytest
@@ -121,71 +122,22 @@ class TestGramMethod:
         result = LoliIrSolver(LoliIrConfig(rank=3)).solve(problem)
         assert np.all(result.inner_iterations == 0)
 
-
-class TestDirectCoupledSolver:
-    """The cached-splu coupled backend vs the default block-Cholesky PCG."""
-
-    def test_coupled_solver_validated(self):
-        with pytest.raises(ValueError, match="coupled_solver"):
-            LoliIrConfig(coupled_solver="lobpcg")
-
-    def test_direct_matches_pcg_on_full_objective(self):
-        """Both coupled backends solve the same convex half-steps; with
-        acceleration off and tight tolerances they must agree to solver
-        precision on a problem exercising both couplings."""
-        problem = make_smooth_problem()
-        kwargs = dict(rank=3, accelerate=False, cg_tol=1e-11, tol=1e-8)
-        direct = LoliIrSolver(
-            LoliIrConfig(coupled_solver="direct", **kwargs)
-        ).solve(problem)
-        pcg = LoliIrSolver(
-            LoliIrConfig(coupled_solver="pcg", **kwargs)
-        ).solve(problem)
-        np.testing.assert_allclose(direct.matrix, pcg.matrix, atol=1e-6)
-        assert direct.final_objective == pytest.approx(
-            pcg.final_objective, rel=1e-9
-        )
-
-    def test_direct_matches_cg_reference(self):
-        problem = make_smooth_problem(seed=5)
-        kwargs = dict(rank=3, accelerate=False, cg_tol=1e-11, tol=1e-8)
-        direct = LoliIrSolver(
-            LoliIrConfig(coupled_solver="direct", **kwargs)
-        ).solve(problem)
-        cg = LoliIrSolver(LoliIrConfig(method="cg", **kwargs)).solve(problem)
-        np.testing.assert_allclose(direct.matrix, cg.matrix, atol=1e-6)
-
-    def test_direct_first_sweep_solves_exactly(self):
-        """The first coupled sweep is a factorize-and-backsolve: zero inner
-        CG iterations, later sweeps reuse the LU as a preconditioner."""
+    def test_coupled_rows_report_inner_iterations(self):
+        """Both couplings active ⇒ every sweep runs the block-Cholesky
+        PCG on its coupled half-steps and counts the iterations."""
         problem = make_smooth_problem(seed=7)
-        result = LoliIrSolver(
-            LoliIrConfig(rank=3, coupled_solver="direct", accelerate=False)
-        ).solve(problem)
-        assert result.inner_iterations[0] == 0
-        assert result.iterations >= 1
+        result = LoliIrSolver(LoliIrConfig(rank=3, accelerate=False)).solve(problem)
+        assert np.all(result.inner_iterations > 0)
 
-    def test_direct_objective_monotone(self):
-        problem = make_smooth_problem(seed=13)
-        result = LoliIrSolver(
-            LoliIrConfig(rank=3, coupled_solver="direct", outer_iterations=20)
-        ).solve(problem)
-        history = result.objective_history
-        assert np.all(np.diff(history) <= 1e-9 * np.maximum(1.0, history[:-1]))
-
-    def test_lu_reused_across_solves(self):
-        """A second solve on the same solver instance reuses the cached LU
-        (no fresh exact first sweep — the preconditioned-CG path runs)."""
+    def test_solver_instance_keeps_no_state_between_solves(self):
+        """A refresh loop reuses one solver: its second solve of a problem
+        has the first one's bits."""
         problem = make_smooth_problem(seed=17)
-        solver = LoliIrSolver(
-            LoliIrConfig(rank=3, coupled_solver="direct", accelerate=False)
-        )
+        solver = LoliIrSolver(LoliIrConfig(rank=3))
         first = solver.solve(problem)
-        assert len(solver._direct_cache) == 2  # one handle per coupling
         second = solver.solve(problem)
-        assert len(solver._direct_cache) == 2
-        # The cached-LU path still converges to the same answer.
-        np.testing.assert_allclose(second.matrix, first.matrix, atol=1e-5)
+        assert first.matrix.tobytes() == second.matrix.tobytes()
+        assert first.iterations == second.iterations
 
 
 class TestFloat32Mode:

@@ -51,6 +51,19 @@ def wire_body(body):
     return json.loads(encode(body))
 
 
+def answer_bits(result):
+    """Cell and float bits of a wire single-query answer."""
+    return result.cell, np.float64([*result.position, result.score]).tobytes()
+
+
+def reference_bits(reference):
+    """:func:`answer_bits` of an in-process ``MatchResult``."""
+    cell = reference.cell
+    position = reference.position
+    floats = [position.x, position.y, reference.scores[cell]]
+    return cell, np.float64(floats).tobytes()
+
+
 @pytest.fixture(scope="module")
 def service():
     svc = LocalizationService.from_specs(SITES, protocol=PROTOCOL, seed=SEED)
@@ -138,22 +151,25 @@ class TestAioIdentity:
                 )
                 assert result.score == reference.scores[reference.cell]
 
-    def test_autobatch_disabled_matches_default(self, address, traces):
-        """The micro-batched path returns exactly what the plain
-        per-frame path returns — transparency down to the score bits."""
+    def test_coalesced_answers_bit_identical_to_service(self, address, service, traces):
+        """Coalesced singles come back from one ``query_batch`` per
+        window, yet every cell, position and score has the bits of an
+        in-process ``service.query`` of that frame alone."""
         rss = traces["hq"].rss
 
-        async def both():
-            async with AsyncServiceClient(address, autobatch=0) as plain:
-                unbatched = await plain.pipeline_queries("hq", rss, 0.0)
-            async with AsyncServiceClient(address) as batching:
-                batched = await batching.pipeline_queries("hq", rss, 0.0)
-            return unbatched, batched
+        async def coalesced():
+            async with AsyncServiceClient(address) as client:
+                results = await client.pipeline_queries(
+                    "hq", rss, 0.0, depth=len(rss)
+                )
+                return results, next(client._ids) - 1
 
-        unbatched, batched = run(both())
-        assert [(r.cell, r.position, r.score) for r in unbatched] == [
-            (r.cell, r.position, r.score) for r in batched
-        ]
+        results, requests = run(coalesced())
+        assert requests < len(rss)
+        for result, frame in zip(results, rss):
+            reference = service.query("hq", frame, 0.0)
+            assert answer_bits(result) == reference_bits(reference)
+            assert result.stale is False
 
     def test_microbatch_coalesces_wire_calls(self, address, traces):
         """32 concurrent singles must consume far fewer request ids
@@ -265,7 +281,7 @@ class TestAioErrorContract:
             '{"id": 1, "method": "query", "params": '
             '{"site": "hq", "day": 0, "rss": [NaN, -50.0]}}',
             '{"id": 2, "method": "query_batch", "params": {"site": "hq", '
-            '"day": 0, "frames": [[-50.0, Infinity]], "per_frame": true}}',
+            '"day": 0, "frames": [[-50.0, Infinity]]}}',
             '{"id": 3, "method": "query", "params": '
             f'{{"site": "hq", "day": NaN, "rss": {good}}}}}',
             '{"id": 4, "method": "query", "params": '
@@ -532,6 +548,33 @@ class TestAioServerBehavior:
                 assert sites == ["hq"]
                 reference = sharded.query_batch("hq", rss, 0.0)
                 assert [r.cell for r in results] == reference.cells.tolist()
+
+
+class TestShardedCoalescing:
+    def test_coalesced_queries_over_two_shards_bit_identical(self, service, traces):
+        """Concurrent singles for two sites coalesce into ``query_batch``
+        requests that a 2-shard router answers from its workers; every
+        answer has the in-process bits, ``stale`` included."""
+        frames = [(site, frame) for site in SITES for frame in traces[site].rss]
+        with ShardedService(SITES, shards=2, protocol=PROTOCOL, seed=SEED) as sharded:
+            sharded.warm()
+            with AioFrontend(sharded) as fe:
+
+                async def coalesced():
+                    async with AsyncServiceClient(fe.address) as client:
+                        queries = [client.query(*pair, 0.0) for pair in frames]
+                        results = await asyncio.gather(*queries)
+                        return results, next(client._ids) - 1
+
+                results, requests = run(coalesced())
+            references = [sharded.query(*pair, 0.0) for pair in frames]
+        assert requests < len(frames)
+        for pair, result, reference in zip(frames, results, references):
+            local = service.query(*pair, 0.0)
+            assert answer_bits(result) == reference_bits(reference)
+            assert reference_bits(reference) == reference_bits(local)
+            assert reference.scores.tobytes() == local.scores.tobytes()
+            assert result.stale is bool(getattr(reference, "stale", False))
 
 
 class TestClientAddresses:

@@ -221,6 +221,32 @@ class TestWorkerHang:
         finally:
             service.close()
 
+    def test_dead_worker_is_stopped_without_the_join_wait(self):
+        """A worker marked dead by a call timeout is not sent the
+        shutdown message: close signals it at once, and no escalation
+        warning (an error under this suite) fires."""
+        service = ShardedService(
+            SITES,
+            shards=2,
+            call_timeout=0.5,
+            auto_respawn=False,
+            protocol=PROTOCOL,
+            seed=SEED,
+        )
+        try:
+            service.warm()
+            shard = service._shards[0]
+            assert FaultInjector(service).hang(0, seconds=30.0)
+            with pytest.raises(WorkerTimeout):
+                shard.call("sites", timeout=0.5)
+            assert shard.dead
+            started = time.monotonic()
+        finally:
+            service.close()
+        assert shard.close_stage == "dead"
+        # The clean path would have waited out close()'s 5 s join first.
+        assert time.monotonic() - started < 4.0
+
     def test_worker_timeout_is_a_timeout_error(self):
         assert issubclass(WorkerTimeout, TimeoutError)
 

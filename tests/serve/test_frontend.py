@@ -143,10 +143,6 @@ class TestProtocolDispatch:
         for method, params in (
             ("query", {"site": "hq", "rss": frame, "day": 0.0}),
             ("query_batch", {"site": "hq", "frames": frames, "day": 0.0}),
-            (
-                "query_batch",
-                {"site": "hq", "frames": frames, "day": 0.0, "per_frame": True},
-            ),
             ("query_trace", {"site": "hq", "frames": frames, "day": 0.0}),
         ):
             status, body = dispatch(service, method, params)

@@ -82,20 +82,16 @@ class TestRouting:
             np.testing.assert_array_equal(served.scores, reference.scores)
 
     def test_query_batch_matches_single_queries(self, service, traces):
+        """The batch kernel is batch-invariant: every row of a batch has
+        the bits of the lone query of that frame."""
         trace = traces["hq"]
         batch = service.query_batch("hq", trace.rss, 0.0)
         for index in range(len(trace.rss)):
             single = service.query("hq", trace.rss[index], 0.0)
-            if single.cell == int(batch.cells[index]):
-                continue
-            # Batch-of-N and batch-of-1 BLAS rounding may break an exact
-            # distance tie differently (same caveat as the benchmark);
-            # only a genuine score gap is a disagreement.
-            gap = abs(
-                batch.scores[index][int(batch.cells[index])]
-                - batch.scores[index][single.cell]
-            )
-            assert gap < 1e-6
+            assert single.cell == int(batch.cells[index])
+            position = np.float64([single.position.x, single.position.y])
+            assert position.tobytes() == batch.positions[index].tobytes()
+            assert single.scores.tobytes() == batch.scores[index].tobytes()
 
     def test_sites_route_to_their_own_fingerprints(self, service):
         hq = service.pipeline("hq")

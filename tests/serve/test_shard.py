@@ -1,5 +1,7 @@
 """Unit tests for the shard layer (routing + worker processes)."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -220,6 +222,28 @@ class TestShardServiceSurface:
                 assert service.query_batch(
                     site, np.zeros((1, links[site])), 0.0
                 ).frame_count == 1
+
+    def test_close_waits_for_an_in_flight_respawn(self):
+        """A respawn swaps the shard's process; a close racing it could
+        reap the old one twice or leave the new one running, so close
+        waits for the respawn to let go of the shard."""
+        service = ShardedService(
+            {"hq": get_scenario_spec("square-3m")},
+            shards=1,
+            protocol=PROTOCOL,
+            seed=SEED,
+        )
+        shard = service._shards[0]
+        assert shard.respawn_lock.acquire(timeout=5.0)  # a respawn in flight
+        closer = threading.Thread(target=service.close)
+        closer.start()
+        closer.join(timeout=0.5)
+        assert closer.is_alive()
+        assert shard.close_stage is None
+        shard.respawn_lock.release()
+        closer.join(timeout=10.0)
+        assert not closer.is_alive()
+        assert shard.close_stage == "clean"
 
     def test_close_is_idempotent(self):
         service = ShardedService(
