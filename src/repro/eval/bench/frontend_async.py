@@ -76,13 +76,19 @@ async def _aio_pipeline_probe(
 
 
 async def _aio_trace_probe(
-    address: str, site: str, frames: np.ndarray, chunk: int
+    address: str,
+    site: str,
+    frames: np.ndarray,
+    chunk: int,
+    include_scores: bool = False,
 ) -> Tuple[object, int, float]:
     """Stream one trace; returns (result, peak message bytes, seconds)."""
     async with AsyncServiceClient(address) as client:
         client.reset_peak()
         start = time.perf_counter()
-        result = await client.query_trace(site, frames, 0.0, chunk=chunk)
+        result = await client.query_trace(
+            site, frames, 0.0, chunk=chunk, include_scores=include_scores
+        )
         return result, client.peak_message_bytes, time.perf_counter() - start
 
 
@@ -261,10 +267,21 @@ def bench_frontend_async(
                     trace.shape[0] / elapsed if elapsed > 0 else float("inf")
                 ),
             }
+        # One stream also asks for scores: the packed ``scores`` column
+        # must carry the in-process bits too.
+        scored, _, _ = asyncio.run(
+            _aio_trace_probe(
+                address, site, rss, stream_chunk, include_scores=True
+            )
+        )
+        reference = service.query_trace(site, LiveTrace(day=0.0, rss=rss))
         record["trace_streaming"] = {
             "site": site,
             "chunk": int(stream_chunk),
             "lengths": lengths,
+            "scores_bit_identical": bool(
+                scored.scores is not None and identical(scored, reference)
+            ),
             # Flat buffering: peak per-message bytes is set by the chunk
             # size, not the trace length.
             "buffering_flat": bool(max(peaks) <= 2 * min(peaks)),
@@ -320,9 +337,11 @@ def _format(record: Dict[str, object]) -> List[str]:
             for row in streaming["lengths"].values()
         )
         flat = "FLAT" if streaming["buffering_flat"] else "GROWING"
+        scores = "ok" if streaming["scores_bit_identical"] else "MISMATCH"
         lines.append(
             f"  streamed trace ({streaming['site']}, chunk "
-            f"{streaming['chunk']}): {parts} -> buffering {flat}"
+            f"{streaming['chunk']}): {parts} | scores {scores} -> "
+            f"buffering {flat}"
         )
     return lines
 
@@ -333,7 +352,7 @@ def _smoke_gates(record: Dict[str, object]) -> List[str]:
         row["bit_identical"] for row in record["per_site"].values()
     )
     streaming = record["trace_streaming"]
-    stream_ok = all(
+    stream_ok = streaming["scores_bit_identical"] and all(
         row["bit_identical"] for row in streaming["lengths"].values()
     )
     if not (aio_ok and stream_ok):

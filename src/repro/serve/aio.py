@@ -41,16 +41,19 @@ size — so the server answers the batch in one backend call and every
 coalesced answer is bit-identical to a lone ``query``; the request asks
 for ``best_scores`` so each frame gets its ``score`` back.
 
-**Streamed ``query_trace``.** A long trace would otherwise buffer one
-whole JSON array on both ends. With ``"stream": true`` the server
+**Streamed ``query_trace``.** With ``"stream": true`` the server
 computes the trace in **one** backend call, then emits the result as
 header + chunk + ``end`` NDJSON lines
 (:func:`~repro.serve.protocol.iter_trace_stream`), draining after each
 chunk so server-side buffering stays flat. Uploads stream symmetrically
-via ``"frames_follow": true`` continuation lines.
-Peak per-message bytes on the client (:attr:`AsyncServiceClient.
-peak_message_bytes`) is therefore independent of trace length — the
-benchmark's flat-buffering gate.
+via ``"frames_follow": true`` continuation lines. Every chunk carries
+its columns as packed little-endian arrays
+(:func:`~repro.serve.protocol.pack_array`), so neither end prints or
+parses a float; a malformed chunk gets a 400, and a connection's
+pending uploads may hold at most ``max_request_bytes``. Peak
+per-message bytes on the client (:attr:`AsyncServiceClient.
+peak_message_bytes`) is independent of trace length — the benchmark's
+flat-buffering gate.
 
 **The loop never parks on a backend.** Backends declare a
 ``wire_dispatch`` hint: ``"inline"`` (:class:`~repro.serve.service.
@@ -100,6 +103,8 @@ from repro.serve.protocol import (
     error_status,
     iter_trace_stream,
     merge_trace_stream,
+    pack_array,
+    unpack_array,
 )
 from repro.sim.trace import LiveTrace
 
@@ -149,6 +154,35 @@ class _HttpError(Exception):
     def __init__(self, status: int, message: str) -> None:
         super().__init__(message)
         self.status = status
+
+
+class _Uploads(dict):
+    """One connection's pending streamed uploads, by request id.
+
+    :attr:`held` counts the bytes they buffer (each one's request line
+    plus its decoded frames), capped at ``cap``: the bound one
+    non-streamed request gets, so a client that never sends ``end``
+    cannot grow server memory without bound.
+    """
+
+    def __init__(self, cap: int) -> None:
+        super().__init__()
+        self.cap = cap
+        self.held = 0
+
+    def hold(self, upload: Dict[str, Any], size: int) -> None:
+        """Charge ``size`` bytes to ``upload``; ``ValueError`` past the cap."""
+        if self.held + size > self.cap:
+            raise ValueError(
+                f"streamed upload exceeds the {self.cap}-byte limit"
+            )
+        self.held += size
+        upload["held"] += size
+
+    def drop(self, req_id: Any) -> None:
+        upload = self.pop(req_id, None)
+        if upload is not None:
+            self.held -= upload["held"]
 
 
 async def _read_http_line(reader: asyncio.StreamReader, what: str) -> bytes:
@@ -380,7 +414,7 @@ class AioFrontend:
         _set_nodelay(writer)
         lock = asyncio.Lock()
         tasks: set = set()
-        uploads: Dict[Any, Dict[str, Any]] = {}
+        uploads = _Uploads(self.max_request_bytes)
         routed = False
         try:
             while True:
@@ -389,17 +423,11 @@ class AioFrontend:
                 except (asyncio.LimitOverrunError, ValueError):
                     # The line never terminated within the cap; the
                     # stream is mid-line and cannot resync: 400 + sever.
-                    await self._send(
+                    await self._refuse(
                         writer,
                         lock,
-                        {
-                            "status": 400,
-                            "body": {
-                                "error": "ValueError",
-                                "message": "request line exceeds the "
-                                f"{self.max_request_bytes}-byte limit",
-                            },
-                        },
+                        "request line exceeds the "
+                        f"{self.max_request_bytes}-byte limit",
                     )
                     break
                 if not line:
@@ -416,20 +444,10 @@ class AioFrontend:
                 try:
                     message = decode(line)
                 except ValueError as error:
-                    await self._send(
-                        writer,
-                        lock,
-                        {
-                            "status": 400,
-                            "body": {
-                                "error": "ValueError",
-                                "message": str(error),
-                            },
-                        },
-                    )
+                    await self._refuse(writer, lock, str(error))
                     continue
                 severed = await self._handle_message(
-                    message, uploads, writer, lock, tasks
+                    message, len(line), uploads, writer, lock, tasks
                 )
                 if severed:
                     break
@@ -448,9 +466,10 @@ class AioFrontend:
                 pass
 
     async def _handle_message(
-        self, message, uploads, writer, lock, tasks
+        self, message, size, uploads, writer, lock, tasks
     ) -> bool:
-        """Route one decoded request line; True = sever the connection."""
+        """Route one decoded request line of ``size`` bytes; True = sever
+        the connection."""
         req_id = message.get("id")
         if "method" in message:
             method = str(message.get("method", ""))
@@ -459,13 +478,21 @@ class AioFrontend:
             if message.get("frames_follow"):
                 # Streamed upload: params arrive now, frames in
                 # continuation lines matched by id (see _handle_upload).
-                uploads[req_id] = {
+                upload = {
                     "method": method,
                     "params": dict(message.get("params") or {}),
                     "frames": [],
                     "stream": stream,
                     "chunk": chunk,
+                    "held": 0,
                 }
+                uploads.drop(req_id)
+                try:
+                    uploads.hold(upload, size)
+                except ValueError as error:
+                    await self._refuse(writer, lock, str(error), id=req_id)
+                    return False
+                uploads[req_id] = upload
                 return False
             return await self._spawn(
                 writer,
@@ -481,18 +508,11 @@ class AioFrontend:
             return await self._handle_upload(
                 message, uploads, writer, lock, tasks
             )
-        await self._send(
+        await self._refuse(
             writer,
             lock,
-            {
-                "id": req_id,
-                "status": 400,
-                "body": {
-                    "error": "ValueError",
-                    "message": "message carries neither a method nor a "
-                    "stream continuation",
-                },
-            },
+            "message carries neither a method nor a stream continuation",
+            id=req_id,
         )
         return False
 
@@ -502,63 +522,36 @@ class AioFrontend:
         req_id = message.get("id")
         upload = uploads.get(req_id)
         if upload is None:
-            await self._send(
+            await self._refuse(
                 writer,
                 lock,
-                {
-                    "id": req_id,
-                    "status": 400,
-                    "body": {
-                        "error": "ValueError",
-                        "message": "continuation line for unknown request "
-                        f"id {req_id!r}",
-                    },
-                },
+                f"continuation line for unknown request id {req_id!r}",
+                id=req_id,
             )
             return False
         if "frames" in message:
             try:
-                # Parse each chunk into float64 immediately: server-side
-                # peak buffering stays one chunk line, not one trace.
-                upload["frames"].append(
-                    np.asarray(message["frames"], dtype=float)
-                )
-            except (TypeError, ValueError):
-                del uploads[req_id]
-                await self._send(
-                    writer,
-                    lock,
-                    {
-                        "id": req_id,
-                        "status": 400,
-                        "body": {
-                            "error": "ValueError",
-                            "message": "frames must be a numeric array",
-                        },
-                    },
-                )
+                # Decode each packed chunk at once: server-side peak
+                # buffering stays one chunk line, not one trace.
+                frames = unpack_array(message["frames"], "<f8", 2)
+                first = upload["frames"][:1]
+                if first and frames.shape[1] != first[0].shape[1]:
+                    raise ValueError("upload chunks carry different link counts")
+                uploads.hold(upload, frames.nbytes)
+            except ValueError as error:
+                uploads.drop(req_id)
+                await self._refuse(writer, lock, str(error), id=req_id)
+                return False
+            upload["frames"].append(frames)
             return False
         # end marker: assemble and dispatch like an inline request.
-        del uploads[req_id]
+        uploads.drop(req_id)
         params = upload["params"]
-        parts = [np.atleast_2d(part) for part in upload["frames"]]
-        try:
-            params["frames"] = (
-                np.concatenate(parts, axis=0)
-                if parts
-                else np.empty((0, 0), dtype=float)
-            )
-        except ValueError as error:
-            await self._send(
-                writer,
-                lock,
-                {
-                    "id": req_id,
-                    "status": 400,
-                    "body": {"error": "ValueError", "message": str(error)},
-                },
-            )
-            return False
+        params["frames"] = (
+            np.concatenate(upload["frames"])
+            if upload["frames"]
+            else np.empty((0, 0), dtype=float)
+        )
         return await self._spawn(
             writer,
             lock,
@@ -606,7 +599,7 @@ class AioFrontend:
         self, writer, lock, req_id, method, params, stream, chunk
     ) -> bool:
         try:
-            status, body = await self._dispatch(method, params)
+            status, body = await self._dispatch(method, params, stream)
         except DropResponse:
             # Fault injection: sever the connection instead of replying.
             writer.close()
@@ -636,12 +629,14 @@ class AioFrontend:
             return True
         return False
 
-    async def _dispatch(self, method, params) -> Tuple[int, Dict[str, Any]]:
+    async def _dispatch(
+        self, method, params, stream=False
+    ) -> Tuple[int, Dict[str, Any]]:
         if self._mode == "inline":
-            return dispatch(self.backend, method, params)
+            return dispatch(self.backend, method, params, stream)
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(
-            self._pool, dispatch, self.backend, method, params
+            self._pool, dispatch, self.backend, method, params, stream
         )
 
     async def _send(self, writer, lock, payload: Dict[str, Any]) -> None:
@@ -649,6 +644,11 @@ class AioFrontend:
         async with lock:
             writer.write(data)
             await writer.drain()
+
+    async def _refuse(self, writer, lock, message: str, **tag) -> None:
+        """Answer 400 with ``message``; ``tag`` is the ``id``, if any."""
+        body = {"error": "ValueError", "message": message}
+        await self._send(writer, lock, {**tag, "status": 400, "body": body})
 
     # -- HTTP/1.1 framing ----------------------------------------------
     async def _serve_http(self, line: bytes, reader, writer) -> None:
@@ -1088,10 +1088,10 @@ class AsyncServiceClient:
     ) -> RemoteBatchResult:
         """Localize a trace; streamed by default.
 
-        With ``stream=True`` both the frame upload and the result come
-        back as bounded NDJSON chunks, so peak per-message buffering is
-        independent of trace length; the reassembled result is
-        bit-identical to the non-streamed (and in-process) answer.
+        With ``stream=True`` both the frame upload and the result travel
+        as bounded NDJSON chunks of packed arrays, so peak per-message
+        buffering is independent of trace length; the reassembled result
+        is bit-identical to the non-streamed (and in-process) answer.
         """
         if isinstance(trace, LiveTrace):
             frames, day = trace.rss, trace.day
@@ -1124,11 +1124,10 @@ class AsyncServiceClient:
             }
         )
         for start in range(0, frames.shape[0], chunk):
-            # Slice-then-tolist: the JSON encode buffer holds one chunk,
-            # never the whole trace.
-            await self._send(
-                {"id": req_id, "frames": frames[start : start + chunk].tolist()}
-            )
+            # One packed chunk per line: the encode buffer holds one
+            # chunk, never the whole trace.
+            part = pack_array(frames[start : start + chunk], "<f8")
+            await self._send({"id": req_id, "frames": part})
         await self._send({"id": req_id, "end": True})
         body = self._check(*await self._finish(req_id, future))
         return self._batch_result(body)

@@ -15,7 +15,8 @@ request size cap (:data:`DEFAULT_MAX_REQUEST_BYTES`).
 
 **Bit-identity over the wire.** Results are encoded with :mod:`json`,
 whose float serialization is ``repr``-based shortest round-trip: a float64
-survives encode→decode exactly. That is what lets the ``frontend`` bench
+survives encode→decode exactly, and a packed stream column carries the
+float64 bytes themselves. That is what lets the ``frontend`` bench
 section's smoke gates (``make frontend-smoke``) assert that wire answers
 equal in-process :class:`~repro.serve.service.LocalizationService`
 answers bit for bit, scores included.
@@ -51,16 +52,22 @@ giant JSON array on both ends. A streaming request
 (``"stream": true``) makes the server compute the trace in **one**
 backend call and then emit the result as a header line, ``seq``-numbered
 chunk lines of at most ``chunk`` frames each, and an ``{"end": true}``
-terminator (:func:`iter_trace_stream`). The client reassembles with
-:func:`merge_trace_stream`; the merged body is byte-identical to the
-non-streaming body, so bit-identity checks need no special casing.
-Uploads stream symmetrically: ``"frames_follow": true`` announces that
-``{"id", "frames": [...]}`` continuation lines and an ``{"id", "end":
-true}`` line will follow instead of inline ``params["frames"]``.
+terminator (:func:`iter_trace_stream`). Stream mode carries every
+per-frame column as a **packed array** (:func:`pack_array`):
+``{"dtype": "<f8"|"<i8", "shape": [...], "data": <base64>}``, the
+column's little-endian bytes, so no float is printed or parsed as
+decimal text. The client reassembles with :func:`merge_trace_stream`
+into ndarray columns that are value-identical, bit for bit, to the
+non-streaming body's lists. Uploads stream symmetrically:
+``"frames_follow": true`` announces that ``{"id", "frames": <packed
+(n, links) "<f8">}`` continuation lines and an ``{"id", "end": true}``
+line will follow instead of inline ``params["frames"]``. Packed arrays
+exist only in stream mode; every other body is plain JSON.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 from typing import (
@@ -93,6 +100,8 @@ __all__ = [
     "error_status",
     "iter_trace_stream",
     "merge_trace_stream",
+    "pack_array",
+    "unpack_array",
 ]
 
 
@@ -229,7 +238,10 @@ def decode(data: bytes) -> Dict[str, Any]:
 
 
 def dispatch(
-    backend: Any, method: str, params: Optional[Dict[str, Any]]
+    backend: Any,
+    method: str,
+    params: Optional[Dict[str, Any]],
+    stream: bool = False,
 ) -> Tuple[int, Dict[str, Any]]:
     """Apply one wire request to ``backend``; returns ``(status, body)``.
 
@@ -237,7 +249,10 @@ def dispatch(
     surface — the in-process service itself or a
     :class:`~repro.serve.shard.ShardedService` router. Never raises for
     contract errors: they come back as ``(status, error_body)`` so every
-    transport reports them the same way.
+    transport reports them the same way. With ``stream`` set (the
+    request's stream mode), a ``query_trace`` body keeps its per-frame
+    columns as arrays for :func:`iter_trace_stream` to pack; every other
+    answer is the same either way.
     """
     params = params if params is not None else {}
     try:
@@ -249,6 +264,8 @@ def dispatch(
             raise TypeError(
                 f"params must be a JSON object, got {type(params).__name__}"
             )
+        if stream and method == "query_trace":
+            return 200, _trace_columns(backend, params)
         return 200, _HANDLERS[method](backend, params)
     except DropResponse:
         raise  # fault injection: the transport must sever the connection
@@ -299,22 +316,31 @@ def _as_rss(value: Any) -> np.ndarray:
     return rss
 
 
-def _batch_body(
+def _batch_columns(
     site: str, day: float, result: Any, include_scores: bool
 ) -> Dict[str, Any]:
+    """A batch answer's body with its per-frame columns still arrays."""
     body = {
         "site": site,
         "day": day,
         "frame_count": int(result.cells.shape[0]),
-        "cells": result.cells.tolist(),
-        "positions": result.positions.tolist(),
+        "cells": result.cells,
+        "positions": result.positions,
     }
     if include_scores:
-        body["scores"] = result.scores.tolist()
+        body["scores"] = result.scores
     if getattr(result, "stale", False):
         # Degraded-mode serving: answered from the last verified snapshot
         # because no live replica could. Absent on fresh answers.
         body["stale"] = True
+    return body
+
+
+def _listed(body: Dict[str, Any]) -> Dict[str, Any]:
+    """``body`` with its per-frame columns turned into JSON lists."""
+    for key in _STREAM_COLUMNS:
+        if key in body:
+            body[key] = body[key].tolist()
     return body
 
 
@@ -354,17 +380,28 @@ def _handle_query_batch(
     site, frames, day = _require(params, "site", "frames", "day")
     day = _as_day(day)
     result = backend.query_batch(str(site), _as_frames(frames), day)
-    body = _batch_body(site, day, result, bool(params.get("include_scores")))
+    body = _listed(
+        _batch_columns(site, day, result, bool(params.get("include_scores")))
+    )
     if params.get("best_scores") and result.scores is not None:
         # Per-frame matched score (``scores[i, cells[i]]``) without the
         # full N x cells matrix — what a transparently-batched single
         # query needs to reconstruct its ``score`` field bit-exactly.
+        cells = np.asarray(result.cells)
         scores = np.asarray(result.scores)
-        body["best"] = [
-            float(scores[index, cell])
-            for index, cell in enumerate(result.cells)
-        ]
+        body["best"] = scores[np.arange(cells.shape[0]), cells].tolist()
     return body
+
+
+def _trace_columns(backend: Any, params: Dict[str, Any]) -> Dict[str, Any]:
+    """Localize a live trace in one backend call; columns stay arrays."""
+    site, frames, day = _require(params, "site", "frames", "day")
+    day = _as_day(day)
+    trace = LiveTrace(day=day, rss=_as_frames(frames))
+    result = backend.query_trace(str(site), trace)
+    return _batch_columns(
+        site, day, result, bool(params.get("include_scores"))
+    )
 
 
 def _handle_query_trace(
@@ -375,11 +412,7 @@ def _handle_query_trace(
     Errors: 400 (malformed params/frames), 404 (unknown site), 409 (no
     epoch serving that day), 503 (not commissioned / no live replica).
     """
-    site, frames, day = _require(params, "site", "frames", "day")
-    day = _as_day(day)
-    trace = LiveTrace(day=day, rss=_as_frames(frames))
-    result = backend.query_trace(str(site), trace)
-    return _batch_body(site, day, result, bool(params.get("include_scores")))
+    return _listed(_trace_columns(backend, params))
 
 
 def _handle_site_summary(
@@ -568,9 +601,76 @@ def _handle_resize(backend: Any, params: Dict[str, Any]) -> Dict[str, Any]:
 #: trace length, large enough that framing overhead stays negligible.
 STREAM_CHUNK_FRAMES = 64
 
-#: Body keys that are per-frame columns (chunked); everything else is
-#: scalar metadata and rides in the stream header.
-_STREAM_COLUMNS = ("cells", "positions", "scores")
+#: Body keys that are per-frame columns (chunked, packed), with the
+#: packed dtype and dimension count of each; everything else is scalar
+#: metadata and rides in the stream header.
+_STREAM_COLUMNS = {
+    "cells": ("<i8", 1),
+    "positions": ("<f8", 2),
+    "scores": ("<f8", 2),
+}
+
+#: Dtypes a packed array may carry: little-endian float64 and int64.
+_PACKED_DTYPES = ("<f8", "<i8")
+
+
+def pack_array(array: Any, dtype: str) -> Dict[str, Any]:
+    """``array`` as a packed wire object ``{"dtype", "shape", "data"}``.
+
+    ``data`` is the base64 of the array's C-order bytes as ``dtype``
+    (``"<f8"`` or ``"<i8"``), so every float64 keeps its bits and no
+    number is printed as decimal text.
+    """
+    if dtype not in _PACKED_DTYPES:
+        raise ValueError(
+            f"cannot pack dtype {dtype!r}; use one of {_PACKED_DTYPES}"
+        )
+    data = np.ascontiguousarray(array, dtype=dtype)
+    return {
+        "dtype": dtype,
+        "shape": list(data.shape),
+        "data": base64.b64encode(data).decode("ascii"),
+    }
+
+
+def unpack_array(value: Any, dtype: str, ndim: int) -> np.ndarray:
+    """Strict inverse of :func:`pack_array`: a read-only ``ndim``-D array.
+
+    Raises ``ValueError`` unless ``value`` is exactly a packed object of
+    ``dtype`` whose shape has ``ndim`` non-negative entries and whose
+    data is valid base64 of exactly that many elements. The shape is
+    only checked against the decoded bytes, never allocated from.
+    """
+    if not isinstance(value, dict) or value.keys() != {"data", "dtype", "shape"}:
+        raise ValueError(
+            "a packed array must be an object with exactly dtype, shape "
+            "and data"
+        )
+    if value["dtype"] != dtype:
+        raise ValueError(
+            f"packed array dtype must be {dtype!r}, got {value['dtype']!r}"
+        )
+    shape = value["shape"]
+    if not (
+        isinstance(shape, list)
+        and len(shape) == ndim
+        and all(type(size) is int and size >= 0 for size in shape)
+    ):
+        raise ValueError(
+            f"packed array shape must be {ndim} non-negative integers, "
+            f"got {shape!r}"
+        )
+    try:
+        raw = base64.b64decode(value["data"], validate=True)
+    except (TypeError, ValueError):  # binascii.Error is a ValueError
+        raise ValueError("packed array data is not valid base64") from None
+    expected = math.prod(shape) * np.dtype(dtype).itemsize
+    if len(raw) != expected:
+        raise ValueError(
+            f"packed array of shape {shape} needs {expected} bytes, "
+            f"got {len(raw)}"
+        )
+    return np.frombuffer(raw, dtype=dtype).reshape(shape)
 
 
 def iter_trace_stream(
@@ -578,11 +678,12 @@ def iter_trace_stream(
 ) -> Iterator[Dict[str, Any]]:
     """Yield the stream messages encoding one ``query_trace`` body.
 
-    The first message is the header (scalar metadata + ``"stream": true``
-    + ``frame_count``), then ``seq``-numbered chunk messages carrying at
-    most ``chunk`` frames of each per-frame column, then ``{"end": true}``.
-    The *compute* is already done — this chunks only the JSON encoding,
-    so the merged stream is byte-identical to the non-streamed body.
+    ``body`` carries its per-frame columns as arrays (``dispatch`` with
+    ``stream`` set). The first message is the header (scalar metadata +
+    ``"stream": true`` + ``frame_count``), then ``seq``-numbered chunk
+    messages carrying at most ``chunk`` frames of each per-frame column
+    as a packed array, then ``{"end": true}``. The *compute* is already
+    done: this only slices and packs the result arrays.
     """
     if chunk < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk}")
@@ -594,13 +695,15 @@ def iter_trace_stream(
     header["stream"] = True
     yield header
     columns = [
-        (key, body[key]) for key in _STREAM_COLUMNS if key in body
+        (key, dtype, body[key])
+        for key, (dtype, _) in _STREAM_COLUMNS.items()
+        if key in body
     ]
     frame_count = len(body.get("cells", ()))
     for seq, start in enumerate(range(0, frame_count, chunk)):
         part: Dict[str, Any] = {"seq": seq}
-        for key, column in columns:
-            part[key] = column[start : start + chunk]
+        for key, dtype, column in columns:
+            part[key] = pack_array(column[start : start + chunk], dtype)
         yield part
     yield {"end": True}
 
@@ -612,8 +715,9 @@ def merge_trace_stream(
 
     Reassembles the full response body from the header and the chunk
     messages (transport framing keys — ``id``/``status``/``stream``/
-    ``seq``/``end`` — are dropped). The result is exactly the body a
-    non-streaming ``query_trace`` response would have carried.
+    ``seq``/``end`` — are dropped). Per-frame columns come back as
+    ndarrays, value-identical (bit for bit) to the lists a non-streaming
+    ``query_trace`` body would have carried: ``.tolist()`` equals them.
     """
     body = {
         key: value
@@ -632,10 +736,14 @@ def merge_trace_stream(
                 f"got {seq!r}"
             )
         expected_seq += 1
-        for key in _STREAM_COLUMNS:
+        for key, (dtype, ndim) in _STREAM_COLUMNS.items():
             if key in part:
-                columns.setdefault(key, []).extend(part[key])
-    body.update(columns)
+                columns.setdefault(key, []).append(
+                    unpack_array(part[key], dtype, ndim)
+                )
+    body.update(
+        (key, np.concatenate(arrays)) for key, arrays in columns.items()
+    )
     return body
 
 

@@ -15,6 +15,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.serve import (
     AioFrontend,
@@ -25,7 +27,13 @@ from repro.serve import (
 )
 from repro.serve.aio import _DRAIN_HIGH_WATER
 from repro.serve.faults import FlakyService
-from repro.serve.protocol import dispatch, encode, merge_trace_stream
+from repro.serve.protocol import (
+    dispatch,
+    encode,
+    merge_trace_stream,
+    pack_array,
+    unpack_array,
+)
 from repro.sim.collector import CollectionProtocol, LiveTrace, RssCollector
 
 PROTOCOL = CollectionProtocol(samples_per_cell=2, empty_room_samples=5)
@@ -49,6 +57,14 @@ def strict_json(line):
 def wire_body(body):
     """``body`` as a client decodes it off the wire."""
     return json.loads(encode(body))
+
+
+def listed(body):
+    """A merged stream body with its ndarray columns as wire lists."""
+    return {
+        key: value.tolist() if isinstance(value, np.ndarray) else value
+        for key, value in body.items()
+    }
 
 
 def answer_bits(result):
@@ -223,6 +239,228 @@ class TestAioIdentity:
         np.testing.assert_array_equal(streamed.positions, plain.positions)
 
 
+class TestPackedStreams:
+    """Stream mode carries every per-frame column as a packed array: the
+    bits survive both ways, and a hostile chunk is only ever a 400."""
+
+    @staticmethod
+    def awkward_frames(traces):
+        """Frames whose exact bits matter: full-precision fractional dB,
+        negative zeros and subnormals beside the usual whole-dB RSS."""
+        rss = np.tile(traces["hq"].rss, (4, 1))
+        rng = np.random.default_rng(SEED)
+        frames = rss + rng.uniform(-0.5, 0.5, size=rss.shape)
+        frames[::5, 0] = -0.0
+        frames[1::5, -1] = 5e-324
+        frames[2::5, 1] = -2.2250738585072014e-309
+        return frames
+
+    def test_pack_round_trip_keeps_every_bit(self):
+        floats = np.array(
+            [[-0.0, 5e-324, np.nan, -np.inf], [1 / 3, -87.123456789, 1e308, 0.1]]
+        )
+        packed = json.loads(json.dumps(pack_array(floats, "<f8")))
+        assert unpack_array(packed, "<f8", 2).tobytes() == floats.tobytes()
+        cells = np.array([0, 7, 2**40, -1])
+        unpacked = unpack_array(pack_array(cells, "<i8"), "<i8", 1)
+        assert unpacked.tolist() == cells.tolist()
+
+    @pytest.mark.parametrize("chunk", [1, 7, 256])
+    @pytest.mark.parametrize("include_scores", [False, True])
+    def test_streamed_answers_bit_identical(
+        self, frontend, service, traces, chunk, include_scores
+    ):
+        frames = self.awkward_frames(traces)
+        params = {"site": "hq", "day": 0.0, "include_scores": include_scores}
+
+        async def both():
+            async with AsyncServiceClient(frontend.unix_address) as client:
+                streamed = await client.query_trace(
+                    "hq",
+                    frames,
+                    0.0,
+                    chunk=chunk,
+                    include_scores=include_scores,
+                )
+                plain = await client.call(
+                    "query_trace", dict(params, frames=frames.tolist())
+                )
+                return streamed, plain
+
+        streamed, plain = run(both())
+        reference = service.query_trace("hq", LiveTrace(day=0.0, rss=frames))
+        assert streamed.cells.tobytes() == reference.cells.astype("<i8").tobytes()
+        assert streamed.positions.tobytes() == reference.positions.tobytes()
+        assert streamed.cells.tolist() == plain["cells"]
+        assert streamed.positions.tolist() == plain["positions"]
+        if include_scores:
+            assert streamed.scores.tobytes() == reference.scores.tobytes()
+            assert streamed.scores.tolist() == plain["scores"]
+        else:
+            assert streamed.scores is None and "scores" not in plain
+
+    def test_buffered_upload_is_capped_per_connection(self, service, traces):
+        """A client that never sends ``end`` holds at most the request
+        cap; past it the upload is dropped with a 400 naming the cap, and
+        the connection keeps serving."""
+        cap = 4096
+        rss = traces["hq"].rss
+        chunk = pack_array(rss[:8], "<f8")
+        header = {
+            "id": "big",
+            "method": "query_trace",
+            "params": {"site": "hq", "day": 0.0},
+            "stream": True,
+            "frames_follow": True,
+        }
+        lines = [encode(header)]
+        lines += [encode({"id": "big", "frames": chunk})] * (
+            2 * cap // rss[:8].nbytes
+        )
+        small = dict(header, id="small")
+        lines += [
+            encode(small),
+            encode({"id": "small", "frames": pack_array(rss, "<f8")}),
+            encode({"id": "small", "end": True}),
+        ]
+        with AioFrontend(service, max_request_bytes=cap) as fe:
+            with socket.create_connection(("127.0.0.1", fe.port), timeout=10.0) as sock:
+                sock.sendall(b"".join(lines))
+                reader = sock.makefile("rb")
+                received = [strict_json(reader.readline())]
+                while not received[-1].get("end"):
+                    received.append(strict_json(reader.readline()))
+        refusal, *later = [m for m in received if m["id"] == "big"]
+        assert refusal["status"] == 400
+        assert f"{cap}-byte limit" in refusal["body"]["message"]
+        # Later lines of the dropped upload are refused as unknown; the
+        # held bytes were released, so a small upload still fits.
+        assert later and all(
+            m["status"] == 400 and "unknown request id" in m["body"]["message"]
+            for m in later
+        )
+        stream = [m for m in received if m["id"] == "small"]
+        assert stream[0]["status"] == 200
+        merged = merge_trace_stream(stream[0], stream[1:])
+        reference = service.query_trace("hq", LiveTrace(day=0.0, rss=rss))
+        np.testing.assert_array_equal(merged["cells"], reference.cells)
+
+    @given(data=st.data())
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_hostile_chunks_get_a_400(self, frontend, traces, data):
+        """Whatever a hostile upload carries, its id gets 400s and nothing
+        else: no crash, no hang, no answer under another id."""
+        rss = traces["hq"].rss
+        links = rss.shape[1]
+        good = pack_array(rss[:3], "<f8")
+        non_finite = rss[:3].copy()
+        non_finite[1, -1] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        case = data.draw(
+            st.sampled_from(
+                [
+                    "base64",
+                    "dtype",
+                    "length",
+                    "shape",
+                    "object",
+                    "links",
+                    "keys",
+                    "non_finite",
+                ]
+            )
+        )
+        expect = "packed array"
+        if case == "base64":
+            text = good["data"]
+            at = data.draw(st.integers(0, len(text)))
+            bad = text[:at] + data.draw(st.sampled_from("!*-_ é\n.")) + text[at:]
+            bad = data.draw(st.sampled_from([bad, text[:-1], text + "A", 3, None]))
+            chunks = [dict(good, data=bad)]
+        elif case == "dtype":
+            dtype = data.draw(
+                st.sampled_from(["<f4", ">f8", "float64", "<i8", "|u1", "", 8, None])
+            )
+            chunks = [dict(good, dtype=dtype)]
+        elif case == "length":
+            shape = data.draw(
+                st.lists(st.integers(0, 3 * links + 2), min_size=2, max_size=2)
+                .filter(lambda shape: shape[0] * shape[1] != 3 * links)
+            )
+            chunks = [dict(good, shape=shape)]
+        elif case == "shape":
+            size = st.one_of(
+                st.integers(max_value=-1),
+                st.integers(min_value=2**31, max_value=2**80),
+            )
+            shape = data.draw(
+                st.one_of(
+                    st.tuples(size, st.just(links)).map(list),
+                    st.tuples(st.just(3), size).map(list),
+                    st.just([3 * links]),
+                    st.just([3, links, 1]),
+                    st.just([3.0, float(links)]),
+                    st.just([True, links]),
+                    st.just("3x%d" % links),
+                    st.none(),
+                )
+            )
+            chunks = [dict(good, shape=shape)]
+        elif case == "object":
+            chunks = [
+                data.draw(
+                    st.one_of(
+                        st.just(rss[:3].tolist()),
+                        st.text(max_size=20),
+                        st.integers(),
+                        st.floats(allow_nan=False),
+                        st.booleans(),
+                        st.none(),
+                        st.lists(st.integers(), max_size=4),
+                    )
+                )
+            ]
+        elif case == "links":
+            other = data.draw(st.integers(1, links + 3).filter(lambda n: n != links))
+            chunks = [good, pack_array(np.zeros((2, other)), "<f8")]
+            expect = "link counts"
+        elif case == "keys":
+            chunks = [dict(good, extra=data.draw(st.integers()))]
+        else:
+            chunks = [pack_array(non_finite, "<f8")]
+            expect = "non-finite"
+        header = {
+            "id": "h",
+            "method": "query_trace",
+            "params": {"site": "hq", "day": 0.0},
+            "stream": True,
+            "chunk": 4,
+            "frames_follow": True,
+        }
+        lines = [encode(header)]
+        lines += [encode({"id": "h", "frames": chunk}) for chunk in chunks]
+        lines.append(encode({"id": "h", "end": True}))
+        lines.append(encode({"id": "probe", "method": "sites", "params": {}}))
+        answers, probe = [], None
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+            sock.settimeout(10.0)
+            sock.connect(frontend.unix_path)
+            sock.sendall(b"".join(lines))
+            reader = sock.makefile("rb")
+            while probe is None or not answers:
+                message = strict_json(reader.readline())
+                if message.get("id") == "probe":
+                    probe = message
+                else:
+                    answers.append(message)
+        assert probe["status"] == 200
+        assert all(m["id"] == "h" and m["status"] == 400 for m in answers)
+        assert expect in answers[0]["body"]["message"]
+
+
 class TestAioErrorContract:
     """Remote errors arrive as the in-process exception types — also
     through the micro-batched and pipelined paths."""
@@ -358,7 +596,12 @@ class TestInlineAnswerPath:
         ]
         for start in range(0, len(frames), 64):
             upload.append(
-                encode({"id": "trace", "frames": frames[start : start + 64].tolist()})
+                encode(
+                    {
+                        "id": "trace",
+                        "frames": pack_array(frames[start : start + 64], "<f8"),
+                    }
+                )
             )
         upload.append(encode({"id": "trace", "end": True}))
         queries = [
@@ -431,7 +674,7 @@ class TestInlineAnswerPath:
             "query_trace",
             {"site": "hq", "day": 0.0, "frames": frames, "include_scores": True},
         )[1]
-        assert merged == wire_body(expected)
+        assert listed(merged) == wire_body(expected)
 
     def test_drop_response_severs_only_that_connection(self, service, traces):
         flaky = FlakyService(service, drop_calls={0}, methods={"query"})

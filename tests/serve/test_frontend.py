@@ -133,6 +133,23 @@ class TestProtocolDispatch:
         assert dispatch(service, "health", {})[1]["sites"] == 2
         assert dispatch(service, "sites", {})[1]["sites"] == ["hq", "lab"]
 
+    def test_best_scores_equal_the_per_frame_loop(self, service, traces):
+        """``best`` is one fancy index; it must carry the bits the
+        per-frame loop ``float(scores[i, cells[i]])`` gives."""
+        frames = np.tile(traces["hq"].rss, (3, 1))
+        params = {"site": "hq", "frames": frames, "day": 0.0}
+        status, body = dispatch(
+            service, "query_batch", dict(params, best_scores=True)
+        )
+        result = service.query_batch("hq", frames, 0.0)
+        loop = [
+            float(result.scores[index, cell])
+            for index, cell in enumerate(result.cells)
+        ]
+        assert status == 200
+        assert np.float64(body["best"]).tobytes() == np.float64(loop).tobytes()
+        assert all(type(score) is float for score in body["best"])
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_rss_is_400(self, service, traces, bad):
         """json parses NaN and Infinity; a frame carrying one must be
