@@ -18,39 +18,45 @@ Quickstart::
     print(system.localize(live, day=45.0).position)
 """
 
-from repro.baselines import RassConfig, RassLocalizer, RtiConfig, RtiLocalizer
-from repro.core import (
-    FingerprintDatabase,
-    FingerprintMatrix,
-    KnnMatcher,
-    LoliIrConfig,
-    LoliIrSolver,
-    NearestNeighborMatcher,
-    ProbabilisticMatcher,
-    ReconstructionConfig,
-    Reconstructor,
-    TafLoc,
-    TafLocConfig,
-    select_references,
-)
-from repro.sim import (
-    ChannelModel,
-    ChannelParams,
-    Deployment,
-    FingerprintSurvey,
-    KnifeEdgeShadowingModel,
-    LiveTrace,
-    RssCollector,
-    Scenario,
-    ScenarioSpec,
-    build_paper_deployment,
-    build_scenario,
-    build_square_deployment,
-    get_scenario_spec,
-    list_scenarios,
-    scenario_names,
-)
-from repro.sim.scenario import build_paper_scenario
+from __future__ import annotations
+
+import importlib
+from typing import TYPE_CHECKING, Any, Dict
+
+if TYPE_CHECKING:
+    from repro.baselines import RassConfig, RassLocalizer, RtiConfig, RtiLocalizer
+    from repro.core import (
+        FingerprintDatabase,
+        FingerprintMatrix,
+        KnnMatcher,
+        LoliIrConfig,
+        LoliIrSolver,
+        NearestNeighborMatcher,
+        ProbabilisticMatcher,
+        ReconstructionConfig,
+        Reconstructor,
+        TafLoc,
+        TafLocConfig,
+        select_references,
+    )
+    from repro.sim import (
+        ChannelModel,
+        ChannelParams,
+        Deployment,
+        FingerprintSurvey,
+        KnifeEdgeShadowingModel,
+        LiveTrace,
+        RssCollector,
+        Scenario,
+        ScenarioSpec,
+        build_paper_deployment,
+        build_scenario,
+        build_square_deployment,
+        get_scenario_spec,
+        list_scenarios,
+        scenario_names,
+    )
+    from repro.sim.scenario import build_paper_scenario
 
 __version__ = "1.0.0"
 
@@ -88,3 +94,50 @@ __all__ = [
     "scenario_names",
     "select_references",
 ]
+
+#: Where each public name lives. Importing ``repro`` loads none of these
+#: modules; the first access of a name imports its module (PEP 562), so a
+#: stdlib-only tool such as ``python -m repro.analysis`` never loads numpy.
+_EXPORTS: Dict[str, str] = {
+    "RassConfig": "repro.baselines",
+    "RassLocalizer": "repro.baselines",
+    "RtiConfig": "repro.baselines",
+    "RtiLocalizer": "repro.baselines",
+    "FingerprintDatabase": "repro.core",
+    "FingerprintMatrix": "repro.core",
+    "KnnMatcher": "repro.core",
+    "LoliIrConfig": "repro.core",
+    "LoliIrSolver": "repro.core",
+    "NearestNeighborMatcher": "repro.core",
+    "ProbabilisticMatcher": "repro.core",
+    "ReconstructionConfig": "repro.core",
+    "Reconstructor": "repro.core",
+    "TafLoc": "repro.core",
+    "TafLocConfig": "repro.core",
+    "select_references": "repro.core",
+    "ChannelModel": "repro.sim",
+    "ChannelParams": "repro.sim",
+    "Deployment": "repro.sim",
+    "FingerprintSurvey": "repro.sim",
+    "KnifeEdgeShadowingModel": "repro.sim",
+    "LiveTrace": "repro.sim",
+    "RssCollector": "repro.sim",
+    "Scenario": "repro.sim",
+    "ScenarioSpec": "repro.sim",
+    "build_paper_deployment": "repro.sim",
+    "build_scenario": "repro.sim",
+    "build_square_deployment": "repro.sim",
+    "get_scenario_spec": "repro.sim",
+    "list_scenarios": "repro.sim",
+    "scenario_names": "repro.sim",
+    "build_paper_scenario": "repro.sim.scenario",
+}
+
+
+def __getattr__(name: str) -> Any:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value

@@ -804,7 +804,9 @@ class ShardedService:
         re-survey otherwise.
         """
         try:
-            if self._closed or shard.alive():
+            # A closed shard (the service's, or one a resize retired) stays
+            # closed: a late failure report must not bring its worker back.
+            if self._closed or shard.close_stage is not None or shard.alive():
                 return
             with shard.lock:
                 shard.respawn()
@@ -939,10 +941,12 @@ class ShardedService:
                         self._ensure_respawn(shard)
                         break
                     shard.specs.pop(site, None)
-            retired = 0
-            while len(self._shards) > shards:
-                self._shards.pop().close()
-                retired += 1
+            # Retire through _close_shards, which waits out an in-flight
+            # respawn: closing under it would leave its new worker running.
+            surplus = self._shards[shards:]
+            del self._shards[shards:]
+            _close_shards(surplus)
+            retired = len(surplus)
             # Quarantine entries are (site, shard) pairs against the old
             # layout; drop any that no longer name an owning replica.
             with self._quarantine_lock:

@@ -399,18 +399,29 @@ class RssCollector:
         noise: Optional[np.ndarray],
         offsets: Optional[np.ndarray],
     ) -> np.ndarray:
-        """All survey physics as one broadcasted (cell, sample, link) pass."""
+        """All survey physics as one broadcasted (cell, sample, link) pass.
+
+        The pass runs in place on the pre-drawn ``noise`` stack, which it
+        consumes: the base RSS is added into it, it is quantized there and
+        the interference offsets are added on top, so the survey holds one
+        ``(cells, samples, links)`` stack rather than one per step. Each
+        in-place step is the same float operation as its out-of-place
+        form, so the bits do not change.
+        """
         scenario = self.scenario
         shadows = scenario.shadow_matrix(spots)  # (cells, links)
         drift = scenario.environment_offsets(day)[None, :]
         drift = drift + scenario.entry_drift_matrix(day, cell_indices)
         base = scenario.channel.empty_room_rss()[None, :] - shadows + drift
-        frames = base[:, None, :]
-        if noise is not None:
-            frames = frames + noise
-        frames = self._quantize(frames)
-        if offsets is not None:
-            frames = frames + offsets
+        if noise is None:
+            frames = self._quantize(base[:, None, :])
+            if offsets is not None:
+                frames = frames + offsets
+        else:
+            noise += base[:, None, :]
+            frames = self._quantize(noise, out=noise)
+            if offsets is not None:
+                frames += offsets
         return frames.mean(axis=1).T
 
     def _survey_matrix_loop(
@@ -459,14 +470,15 @@ class RssCollector:
             drift = scenario.environment_offsets(day)[None, :]
             drift = drift + scenario.entry_drift_matrix(day, cells)
             base = scenario.channel.empty_room_rss()[None, :] - shadows + drift
-            stack = base[:, None, :]
+            # In place on the pre-drawn noise, like _survey_matrix_batch.
             if noise is not None:
-                stack = stack + noise
+                noise += base[:, None, :]
+                stack = noise
             else:
-                stack = np.repeat(stack, averaging, axis=1)
-            stack = self._quantize(stack)
+                stack = np.repeat(base[:, None, :], averaging, axis=1)
+            stack = self._quantize(stack, out=stack)
             if offsets is not None:
-                stack = stack + offsets.reshape(frames, averaging, -1)
+                stack += offsets.reshape(frames, averaging, -1)
             rss = stack.mean(axis=1)
         else:
             rows = []
@@ -490,10 +502,15 @@ class RssCollector:
         self._samples_taken += len(points) * averaging
         return rss
 
-    def _quantize(self, rss: np.ndarray) -> np.ndarray:
+    def _quantize(
+        self, rss: np.ndarray, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Round to the RSSI quantum; with ``out=rss`` it works in place."""
         quantum = self.scenario.channel.params.rssi_quantum_db
         if quantum > 0:
-            return np.round(rss / quantum) * quantum
+            scaled = np.divide(rss, quantum, out=out)
+            np.round(scaled, out=scaled)
+            return np.multiply(scaled, quantum, out=scaled)
         return rss
 
     def _draw_samples(

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -234,10 +234,15 @@ class EntryFieldDrift:
 
     When ``grid_rows``/``grid_columns`` are provided, the slow component's
     innovations are drawn as Gaussian-filtered fields over the cell grid
-    (``slow_smooth_sigma_cells``); otherwise both components are rough.
+    (``slow_smooth_sigma_cells``, see :func:`gaussian_smooth`); otherwise
+    both components are rough.
 
     The lattice is simulated lazily day by day; innovations for step ``d``
     derive from ``(seed, d)``, so query order never changes results.
+    Storage is one ``(links, cells)`` array per simulated day — the
+    ``fast + slow`` sum that :meth:`offsets` reads — plus the AR(1) state
+    (``_fast``, ``_slow``) of the last simulated day only, which is all the
+    next step needs.
     """
 
     links: int
@@ -280,36 +285,36 @@ class EntryFieldDrift:
         else:
             self._entropy = int(self.seed) & 0x7FFFFFFF
         shape = (self.links, self.cells)
-        self._fast: List[np.ndarray] = [np.zeros(shape)]
-        self._slow: List[np.ndarray] = [np.zeros(shape)]
+        self._fast = np.zeros(shape)
+        self._slow = np.zeros(shape)
+        self._lattice: List[np.ndarray] = [_read_only(self._fast + self._slow)]
 
     @property
     def link_count(self) -> int:
         return self.links
 
     def offsets(self, day: float) -> np.ndarray:
-        """Entry drift matrix (links x cells, dB) at ``day``."""
+        """Entry drift matrix (links x cells, dB) at ``day``.
+
+        At an integer day this is the stored lattice array itself, marked
+        read-only so no caller can corrupt the lattice; copy it to modify.
+        """
         if day < 0:
             raise ValueError(f"day must be >= 0, got {day}")
         high = int(np.ceil(day))
         self._extend_to(high)
         low = int(np.floor(day))
         frac = day - low
-        lattice_low = self._fast[low] + self._slow[low]
         if frac == 0.0:
-            return lattice_low
-        lattice_high = self._fast[high] + self._slow[high]
-        return (1.0 - frac) * lattice_low + frac * lattice_high
+            return self._lattice[low]
+        return (1.0 - frac) * self._lattice[low] + frac * self._lattice[high]
 
     def _slow_innovation(self, rng: np.random.Generator) -> np.ndarray:
         """Unit-variance slow-innovation field, smooth when a grid is known."""
         if not (self.grid_rows and self.grid_columns and self.slow_smooth_sigma_cells):
             return rng.standard_normal((self.links, self.cells))
-        from scipy.ndimage import gaussian_filter  # deferred: keep import light
-
         white = rng.standard_normal((self.links, self.grid_rows, self.grid_columns))
-        sigma = self.slow_smooth_sigma_cells
-        smooth = gaussian_filter(white, sigma=(0.0, sigma, sigma), mode="nearest")
+        smooth = gaussian_smooth(white, self.slow_smooth_sigma_cells)
         scale = smooth.std()
         if scale > 0:
             smooth = smooth / scale
@@ -319,19 +324,76 @@ class EntryFieldDrift:
         fast_innov = self.fast_stat_std * np.sqrt(1.0 - self.fast_rho**2)
         slow_innov = self.slow_stat_std * np.sqrt(1.0 - self.slow_rho**2)
         shape = (self.links, self.cells)
-        while len(self._fast) <= day:
-            step = len(self._fast)
+        while len(self._lattice) <= day:
+            step = len(self._lattice)
             rng = np.random.default_rng(
                 np.random.SeedSequence([self._entropy, step])
             )
-            self._fast.append(
-                self.fast_rho * self._fast[-1]
-                + fast_innov * rng.standard_normal(shape)
-            )
-            self._slow.append(
-                self.slow_rho * self._slow[-1]
-                + slow_innov * self._slow_innovation(rng)
-            )
+            fast_step = fast_innov * rng.standard_normal(shape)
+            slow_step = slow_innov * self._slow_innovation(rng)
+            self._fast = self.fast_rho * self._fast + fast_step
+            self._slow = self.slow_rho * self._slow + slow_step
+            self._lattice.append(_read_only(self._fast + self._slow))
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def gaussian_smooth(field: np.ndarray, sigma: float) -> np.ndarray:
+    """Gaussian-smooth the last two axes of ``field``, edges replicated.
+
+    Bit-identical to SciPy's ``gaussian_filter(field, (0, ..., sigma,
+    sigma), mode="nearest")``, without importing it: the same truncated,
+    normalised kernel, one separable pass per axis in SciPy's axis order
+    (rows, then columns), and the same order of float operations within a
+    pass (see :func:`_correlate_axis`).
+    """
+    if sigma <= 1e-15:  # SciPy leaves such an axis unfiltered
+        return field.copy()
+    radius = int(4.0 * sigma + 0.5)
+    taps = np.arange(-radius, radius + 1)
+    kernel = np.exp(-0.5 / (sigma * sigma) * taps**2)
+    kernel = kernel / kernel.sum()
+    # Correlation uses the reversed kernel; w[j] weighs the taps at +-j.
+    weights = kernel[::-1][radius:]
+    return _correlate_axis(_correlate_axis(field, weights, -2), weights, -1)
+
+
+def _correlate_axis(field: np.ndarray, weights: np.ndarray, axis: int) -> np.ndarray:
+    """Symmetric correlation along ``axis`` with edge-replicated padding.
+
+    Accumulates like SciPy's symmetric-kernel path: ``x[i] * w[0]``, then
+    ``+= (x[i - j] + x[i + j]) * w[j]`` from the outermost tap inward.
+    """
+    radius = len(weights) - 1
+    length = field.shape[axis]
+
+    def span(array: np.ndarray, start: int, stop: int) -> np.ndarray:
+        index = [slice(None)] * array.ndim
+        index[axis] = slice(start, stop)
+        return array[tuple(index)]
+
+    padded = np.concatenate(
+        [
+            np.repeat(span(field, 0, 1), radius, axis=axis),
+            field,
+            np.repeat(span(field, length - 1, length), radius, axis=axis),
+        ],
+        axis=axis,
+    )
+    out = span(padded, radius, radius + length) * weights[0]
+    pair = np.empty_like(out)
+    for j in range(radius, 0, -1):
+        np.add(
+            span(padded, radius - j, radius - j + length),
+            span(padded, radius + j, radius + j + length),
+            out=pair,
+        )
+        pair *= weights[j]
+        out += pair
+    return out
 
 
 def calibrated_paper_drift(links: int, seed: RandomState = None) -> GaussMarkovDrift:

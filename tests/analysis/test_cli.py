@@ -35,6 +35,15 @@ CLEAN_TREE = {
     """,
 }
 
+#: Runs the gate in-process, then reports which heavy modules it loaded.
+NUMPY_PROBE = """\
+import sys
+from repro.analysis.__main__ import main
+codes = [main(["--list-rules"]), main([])]
+heavy = sorted(m for m in ("numpy", "scipy") if m in sys.modules)
+print("probe:", codes, heavy)
+"""
+
 
 def _write_tree(root: Path, files: dict) -> Path:
     for rel, text in files.items():
@@ -151,12 +160,15 @@ class TestSubprocessGate:
     """The `make analyze` contract, driven exactly as CI drives it."""
 
     def _run(self, *argv: str) -> subprocess.CompletedProcess:
+        return self._python("-m", "repro.analysis", *argv)
+
+    def _python(self, *args: str) -> subprocess.CompletedProcess:
         env = dict(os.environ)
         src = str(REPO_ROOT / "src")
         existing = env.get("PYTHONPATH")
         env["PYTHONPATH"] = f"{src}:{existing}" if existing else src
         return subprocess.run(
-            [sys.executable, "-m", "repro.analysis", *argv],
+            [sys.executable, *args],
             capture_output=True,
             text=True,
             env=env,
@@ -179,3 +191,10 @@ class TestSubprocessGate:
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "clean" in proc.stdout
+
+    def test_the_gate_never_loads_numpy(self):
+        """CI runs the gate without numpy or scipy installed: the analyzer
+        is stdlib-only, and importing ``repro`` must not load them."""
+        proc = self._python("-c", NUMPY_PROBE)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "probe: [0, 0] []" in proc.stdout, proc.stdout + proc.stderr

@@ -1,6 +1,7 @@
 """Unit tests for the shard layer (routing + worker processes)."""
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -244,6 +245,56 @@ class TestShardServiceSurface:
         closer.join(timeout=10.0)
         assert not closer.is_alive()
         assert shard.close_stage == "clean"
+
+    def test_resize_waits_for_an_in_flight_respawn_of_a_surplus_shard(self):
+        """Shrinking retires surplus workers through the same close path:
+        a respawn in flight on a retired shard is waited out, not raced,
+        so its replacement worker cannot outlive the resize."""
+        service = ShardedService(
+            {"hq": get_scenario_spec("square-3m")},
+            shards=2,
+            protocol=PROTOCOL,
+            seed=SEED,
+        )
+        try:
+            surplus = service._shards[1]
+            assert surplus.respawn_lock.acquire(timeout=5.0)  # respawn in flight
+            resizer = threading.Thread(target=service.resize, args=(1,))
+            resizer.start()
+            deadline = time.monotonic() + 30.0
+            while service.shard_count != 1 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert service.shard_count == 1  # the routing table flipped
+            resizer.join(timeout=0.5)
+            assert resizer.is_alive()
+            assert surplus.close_stage is None
+            surplus.respawn_lock.release()
+            resizer.join(timeout=10.0)
+            assert not resizer.is_alive()
+            assert surplus.close_stage == "clean"
+            assert not surplus.process.is_alive()
+            assert surplus not in service._shards
+        finally:
+            service.close()
+        assert not any(s.process.is_alive() for s in (surplus, *service._shards))
+
+    def test_a_retired_shard_is_never_respawned(self):
+        """A late failure report about a retired shard (say, from a query
+        that picked it before the resize) must not bring its worker back."""
+        with ShardedService(
+            {"hq": get_scenario_spec("square-3m")},
+            shards=2,
+            protocol=PROTOCOL,
+            seed=SEED,
+        ) as service:
+            retired = service._shards[1]
+            service.resize(1)
+            assert retired.close_stage == "clean"
+            service._ensure_respawn(retired)
+            assert retired.respawn_lock.acquire(timeout=10.0)  # respawner done
+            retired.respawn_lock.release()
+            assert retired.generation == 0
+            assert not retired.process.is_alive()
 
     def test_close_is_idempotent(self):
         service = ShardedService(
