@@ -1,16 +1,15 @@
-# Developer entry points. `make test` is the tier-1 gate; `make bench`
-# produces the committed perf-trajectory point (BENCH_PR10.json — every
-# registered bench section: solve, engine, serving, frontend,
-# frontend_async, resilience, trust, loadgen; narrow a run with
-# `make bench BENCH_ONLY="--only loadgen"`).
+# Developer entry points. `make test` is the tier-1 gate; `make perfbench`
+# is the end-to-end benchmark every performance claim is read from
+# (BENCHMARK.json). The committed BENCH_PR1–10.json files are frozen
+# history from an older harness; nothing regenerates them.
 #
-# Every gate is a bench section's smoke gate, and every `*-smoke` target
-# is `benchmarks/bench_perf.py --smoke` narrowed with `--only`:
-# `make bench-smoke` runs every section (writes BENCH_SMOKE.json —
-# PR-agnostic, never clobbers a committed BENCH_PR*.json);
-# `make frontend-smoke` the wire/shard/aio bit-identity gates;
-# `make resilience-smoke` the kill -9 / snapshot-restore / resize gates
-# plus the anti-entropy trust gates (quorum read-repair under a
+# Every gate is a gate section's smoke gate, and every `*-smoke` target
+# runs `benchmarks/bench_perf.py` (sections: solve, engine, serving,
+# frontend, frontend_async, resilience, trust, loadgen), the narrower
+# ones with `--only`: `make bench-smoke` runs every section (writes BENCH_SMOKE.json,
+# gitignored); `make frontend-smoke` the wire/shard/aio bit-identity
+# gates; `make resilience-smoke` the kill -9 / snapshot-restore / resize
+# gates plus the anti-entropy trust gates (quorum read-repair under a
 # corrupted replica, scrub detection of silent corruption, degraded-mode
 # stale serving, snapshot keep-last-K retention); `make loadgen-smoke`
 # the load-generator gates (open-loop SLO saturation search with
@@ -21,7 +20,7 @@
 PYTHON ?= python
 PYTHONPATH_SRC = PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test lint typecheck analyze bench bench-smoke bench-figures \
+.PHONY: test lint typecheck analyze bench-smoke bench-figures \
 	frontend-smoke resilience-smoke loadgen-smoke perfbench
 
 test:
@@ -47,20 +46,16 @@ analyze:
 	$(PYTHONPATH_SRC) $(PYTHON) -m repro.analysis --format text \
 		--out ANALYSIS_FINDINGS.json
 
-bench:
-	$(PYTHON) benchmarks/bench_perf.py --out BENCH_PR10.json $(BENCH_ONLY)
-
-# Writes to BENCH_SMOKE.json (gitignored territory) so a local smoke run
-# never clobbers the committed full-bench BENCH_PR10.json.
+# Every section's gates; the report lands in BENCH_SMOKE.json (gitignored).
 bench-smoke:
-	$(PYTHON) benchmarks/bench_perf.py --smoke --jobs 2 --out BENCH_SMOKE.json
+	$(PYTHON) benchmarks/bench_perf.py --out BENCH_SMOKE.json
 
 # Wire server + sharded workers at toy scale: every transport (http,
 # tcp, unix; sync, pipelined and streamed) and every shard count must
 # answer bit-identically to the in-process service, scores included,
 # and a wrong-site query must raise KeyError through every transport.
 frontend-smoke:
-	$(PYTHON) benchmarks/bench_perf.py --smoke --only frontend \
+	$(PYTHON) benchmarks/bench_perf.py --only frontend \
 		--only frontend_async
 
 # On a 3-shard R=2 snapshot-backed fleet: kill -9 each worker in turn
@@ -73,7 +68,7 @@ frontend-smoke:
 # the snapshot directory. The report (with its `seed`) always lands in
 # RESILIENCE_SMOKE.json; CI uploads it on failure.
 resilience-smoke:
-	$(PYTHON) benchmarks/bench_perf.py --smoke --only resilience \
+	$(PYTHON) benchmarks/bench_perf.py --only resilience \
 		--only trust --out RESILIENCE_SMOKE.json
 
 # The load-generator gates: a seconds-scale open-loop SLO saturation
@@ -83,7 +78,7 @@ resilience-smoke:
 # pipeline). The report always lands in LOADGEN_SMOKE.json (CI uploads
 # it on failure).
 loadgen-smoke:
-	$(PYTHON) benchmarks/bench_perf.py --smoke --only loadgen \
+	$(PYTHON) benchmarks/bench_perf.py --only loadgen \
 		--out LOADGEN_SMOKE.json
 
 bench-figures:

@@ -9,7 +9,6 @@ Usage (after ``pip install -e .``)::
     tafloc-repro fig5 --day 90         # localization comparison
     tafloc-repro floorplan             # render the deployment geometry
     tafloc-repro scenarios             # list the scenario registry
-    tafloc-repro bench                 # batch-vs-loop performance benchmark
     tafloc-repro serve ...             # multi-site serving demo + throughput
     tafloc-repro query ...             # route one query batch through serving
     tafloc-repro loadgen ...           # generated load + SLO saturation search
@@ -78,7 +77,6 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.core.pipeline import TafLoc
-from repro.eval.bench import DEFAULT_SIZES, format_bench_report, run_perf_bench
 from repro.eval.costmodel import CostModel, sweep_update_cost
 from repro.eval.engine import ExperimentEngine, cached_scenario
 from repro.eval.experiments import (
@@ -270,25 +268,6 @@ def _cmd_fig5(args: argparse.Namespace) -> int:
             "\nCDF:\n"
             + format_cdf_table(result.errors, grid, value_label="err [m]")
         )
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    report = run_perf_bench(
-        sizes=tuple(args.sizes),
-        frames=args.frames,
-        repeat=args.repeat,
-        seed=args.seed,
-        out_path=args.out,
-        engine_jobs=args.jobs,
-        # Resolve through _spec so --scenario-file reaches the engine
-        # section too (the per-size rows are named by --sizes).
-        engine_scenario=_spec(args),
-        serving_sites=tuple(args.sizes),
-    )
-    print(format_bench_report(report))
-    if args.out:
-        print(f"\nwrote {args.out}")
     return 0
 
 
@@ -862,15 +841,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     analyze.add_argument("--list-rules", action="store_true")
 
-    bench = sub.add_parser("bench", help="batch-vs-loop performance benchmark")
-    bench.add_argument(
-        "--sizes", nargs="+", default=list(DEFAULT_SIZES),
-        help="scenario names ('paper', 'warehouse', ...) or 'square-<edge>m'",
-    )
-    bench.add_argument("--frames", type=int, default=500)
-    bench.add_argument("--repeat", type=int, default=3)
-    bench.add_argument("--out", default=None, help="optional JSON output path")
-
     serve = sub.add_parser(
         "serve", help="multi-site serving demo: commission, route, measure"
     )
@@ -1121,7 +1091,6 @@ _COMMANDS = {
     "floorplan": _cmd_floorplan,
     "scenarios": _cmd_scenarios,
     "analyze": _cmd_analyze,
-    "bench": _cmd_bench,
     "loadgen": _cmd_loadgen,
     "serve": _cmd_serve,
     "query": _cmd_query,

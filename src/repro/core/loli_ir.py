@@ -38,8 +38,9 @@ Two half-step backends are available (``LoliIrConfig.method``):
   an application costs ``O(links·pairs)``, and no update densifies them.
 
 * ``"cg"`` — the original matrix-free conjugate-gradient solve of each
-  half-step, kept as the reference implementation for cross-validation and
-  for benchmarking the fast path's speedup.
+  half-step: the reference implementation that the solver-mode tests
+  (``tests/core/test_loli_ir_modes.py``) cross-validate ``"gram"``
+  against.
 
 Following the paper, the factors are initialized from an SVD of a rough
 completion (``X̂₀ = UΣVᵀ, L = UΣ^{1/2}, R = VΣ^{1/2}``). When a caller
@@ -94,7 +95,8 @@ class LoliIrConfig:
             closed-form ``k×k`` solves, block-Cholesky-preconditioned CG
             for the coupled half-steps — continuity couples the R-step's
             cell rows, similarity the L-step's link rows) or ``"cg"`` (the
-            original matrix-free CG reference).
+            original matrix-free CG, the reference the solver-mode tests
+            cross-validate ``"gram"`` against).
         accelerate: Safeguarded extrapolation of the outer loop. The
             alternating map converges linearly with a stable contraction
             ratio (one dominant error direction), so after each sweep the

@@ -17,7 +17,9 @@ and a grid so they can translate cells to coordinates.
 
 :meth:`Matcher.match_batch` scores an entire ``(frames, links)`` trace
 against every grid cell in one broadcasted pass, which is what gives
-trace-level localization its throughput (see ``benchmarks/bench_perf.py``).
+trace-level localization its throughput (``perfbench/``'s
+``matching.match_us`` and ``matching.batch_us_per_frame`` rows measure
+both paths).
 The distance kernel is batch-invariant: a frame's row has the same bits
 whatever batch it is scored in (pinned by a split-invariance property
 test), so a frame's answer never depends on how many other frames share

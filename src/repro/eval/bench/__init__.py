@@ -1,33 +1,19 @@
-"""The bench-section registry package (the PR-10 API redesign).
+"""The gate-section registry package.
 
-Importing this package registers every section in canonical report
-order — ``solve``, ``engine``, ``serving``, ``frontend``,
-``frontend_async``, ``resilience``, ``trust``, ``loadgen`` — and
-re-exports the registry drivers plus each section's public benchmark
-function. Each section's ``smoke_gates`` are the repository's only gate
-driver: ``benchmarks/bench_perf.py --smoke`` runs them at the
-``SMOKE_KNOBS`` scale, and every ``make *-smoke`` target is that script
-narrowed with ``--only``.
+Importing this package registers every section in run order —
+``solve``, ``engine``, ``serving``, ``frontend``, ``frontend_async``,
+``resilience``, ``trust``, ``loadgen`` — and re-exports the registry
+functions plus each section's gate run. Each section's ``smoke_gates``
+are the repository's only gate runner: ``benchmarks/bench_perf.py``
+runs them, and every ``make *-smoke`` target is that script narrowed
+with ``--only``. Performance is measured by ``perfbench/``, not here.
 """
 
 from __future__ import annotations
 
-from repro.eval.bench.common import (
-    BENCH_SEED,
-    BenchConfig,
-    DEFAULT_SIZES,
-    LEGACY_SOLVER,
-    SMOKE_KNOBS,
-    StageTiming,
-    bench_spec,
-    best_of,
-    build_bench_deployment,
-    host_metadata,
-    identical,
-)
+from repro.eval.bench.common import BENCH_SEED, bench_spec, identical
 from repro.eval.bench.registry import (
     BenchSection,
-    format_bench_report,
     get_section,
     register,
     run_perf_bench,
@@ -37,8 +23,8 @@ from repro.eval.bench.registry import (
 )
 
 # Importing each module registers its section; the import order here IS
-# the report order (the key order committed BENCH_PR*.json files use).
-from repro.eval.bench.solve import bench_size
+# the run order.
+from repro.eval.bench.solve import bench_solve
 from repro.eval.bench.engine import bench_engine
 from repro.eval.bench.serving import bench_serving
 from repro.eval.bench.frontend import bench_frontend
@@ -49,26 +35,17 @@ from repro.eval.bench.loadgen import bench_loadgen
 
 __all__ = [
     "BENCH_SEED",
-    "BenchConfig",
     "BenchSection",
-    "DEFAULT_SIZES",
-    "LEGACY_SOLVER",
-    "SMOKE_KNOBS",
-    "StageTiming",
     "bench_engine",
     "bench_frontend",
     "bench_frontend_async",
     "bench_loadgen",
     "bench_resilience",
     "bench_serving",
-    "bench_size",
+    "bench_solve",
     "bench_spec",
     "bench_trust",
-    "best_of",
-    "build_bench_deployment",
-    "format_bench_report",
     "get_section",
-    "host_metadata",
     "identical",
     "register",
     "run_perf_bench",

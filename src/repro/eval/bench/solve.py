@@ -1,206 +1,90 @@
-"""The ``solve`` bench section: survey / LoLi-IR solve / trace matching.
+"""The ``solve`` gate section: warm-started LoLi-IR updates.
 
-Times the three production-critical operations on every configured
-deployment size, comparing the fast implementations against their
-reference counterparts (per-frame/per-cell loops; the matrix-free CG
-solver). Report key ``sizes`` (one row per scenario, host-stamped per
-row) — the shape the very first committed ``BENCH_PR*.json`` used.
+A high-frequency refresh loop (6-hourly updates) solved cold and then
+warm-started; the gate is that no warm solve takes more sweeps than its
+cold twin. The run also checks that the batch matching kernel gives
+every frame of a live trace the bits of a lone per-frame query.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.core.fingerprint import FingerprintMatrix
-from repro.core.loli_ir import LoliIrConfig
 from repro.core.matching import KnnMatcher
 from repro.core.pipeline import TafLoc, TafLocConfig
 from repro.core.reconstruction import ReconstructionConfig
-from repro.eval.bench.common import (
-    BENCH_SEED,
-    BenchConfig,
-    LEGACY_SOLVER,
-    StageTiming,
-    bench_spec,
-    best_of,
-)
+from repro.eval.bench.common import bench_spec
 from repro.eval.bench.registry import BenchSection, register
 from repro.sim.collector import CollectionProtocol, RssCollector
-from repro.sim.scenario import Scenario
 from repro.sim.specs import build_scenario
 from repro.util.rng import counter_stream
 
-__all__ = ["bench_size"]
+__all__ = ["bench_solve"]
+
+SIZE = "square-3m"
+FRAMES = 24
+PROTOCOL = CollectionProtocol(samples_per_cell=2, empty_room_samples=10)
 
 
-def bench_size(
-    size: str,
-    *,
-    frames: int = 500,
-    samples_per_cell: int = 10,
-    repeat: int = 3,
-    seed: int = BENCH_SEED,
-) -> Dict[str, object]:
-    """Benchmark one scenario/size; returns a plain-data record."""
-    spec = bench_spec(size)
-    scenario: Scenario = build_scenario(spec.with_seed(seed))
-    deployment = scenario.deployment
-    protocol = CollectionProtocol(
-        samples_per_cell=samples_per_cell, empty_room_samples=10
-    )
+def bench_solve(seed: int) -> Dict[str, object]:
+    """Cold vs warm-started update iterations on one small site."""
+    spec = bench_spec(SIZE)
+    scenario = build_scenario(spec.with_seed(seed))
 
-    # --- simulation: full commissioning survey, batch vs per-cell loop ---
-    # Both sides get the same best-of treatment so warm-up noise cannot
-    # inflate the reported speedup.
-    survey = StageTiming(
-        batch_s=best_of(
-            lambda: RssCollector(
-                scenario, protocol, seed=1, vectorized=True
-            ).collect_full_survey(0.0),
-            repeat,
-        ),
-        loop_s=best_of(
-            lambda: RssCollector(
-                scenario, protocol, seed=1, vectorized=False
-            ).collect_full_survey(0.0),
-            repeat,
-        ),
-    )
-
-    # --- reconstruction: LoLi-IR update, legacy vs fast, cold vs warm ---
-    def updates(warm_start: bool, solver: Optional[LoliIrConfig] = None) -> List[int]:
+    def iterations(warm_start: bool) -> List[int]:
         config = TafLocConfig(
-            reconstruction=ReconstructionConfig(
-                warm_start=warm_start,
-                solver=solver if solver is not None else LoliIrConfig(),
-            )
+            reconstruction=ReconstructionConfig(warm_start=warm_start)
         )
         system = TafLoc(
-            RssCollector(scenario, protocol, seed=2), config, seed=3
+            RssCollector(scenario, PROTOCOL, seed=2), config, seed=3
         )
         system.commission(0.0)
-        iterations = []
-        # A high-frequency refresh loop: 6-hourly updates, the regime the
-        # warm start is built for.
-        for step in range(4):
-            report = system.update(30.0 + 0.25 * step)
-            iterations.append(report.reconstruction.solver_result.iterations)
-        return iterations
+        return [
+            system.update(30.0 + 0.25 * step).reconstruction.solver_result.iterations
+            for step in range(4)
+        ]
 
-    start = time.perf_counter()
-    legacy_iterations = updates(False, LEGACY_SOLVER)
-    legacy_cold_s = time.perf_counter() - start
-    start = time.perf_counter()
-    cold_iterations = updates(False)
-    cold_s = time.perf_counter() - start
-    start = time.perf_counter()
-    warm_iterations = updates(True)
-    warm_s = time.perf_counter() - start
+    cold_iterations = iterations(False)
+    warm_iterations = iterations(True)
 
-    # --- serving: trace-level matching, batch vs per-frame loop ---------
-    workload_rng = counter_stream(seed, 1)
-    cells = workload_rng.integers(0, deployment.cell_count, size=frames)
-    collector = RssCollector(scenario, protocol, seed=4)
-    result = collector.collect_full_survey(0.0)
-    fingerprint = FingerprintMatrix(
-        values=result.survey.matrix, empty_rss=result.survey.empty_rss
+    cells = counter_stream(seed, 1).integers(
+        0, scenario.deployment.cell_count, size=FRAMES
+    )
+    collector = RssCollector(scenario, PROTOCOL, seed=4)
+    survey = collector.collect_full_survey(0.0).survey
+    matcher = KnnMatcher(
+        FingerprintMatrix(values=survey.matrix, empty_rss=survey.empty_rss),
+        scenario.deployment.grid,
     )
     trace = collector.live_trace(0.0, cells)
-    matcher = KnnMatcher(fingerprint, deployment.grid)
-    batch_out = matcher.match_batch(trace.rss)
-    loop_out = [matcher.match(frame) for frame in trace.rss]
-    for index, single in enumerate(loop_out):
-        # The batch kernel is batch-invariant: every row has the lone
-        # query's bits, exact distance ties included.
-        if int(batch_out.cells[index]) != single.cell or (
-            batch_out.scores[index].tobytes() != single.scores.tobytes()
+    batch = matcher.match_batch(trace.rss)
+    for index, frame in enumerate(trace.rss):
+        single = matcher.match(frame)
+        if int(batch.cells[index]) != single.cell or (
+            batch.scores[index].tobytes() != single.scores.tobytes()
         ):
             raise AssertionError(
                 f"batch and per-frame matching disagree on frame {index}"
             )
-    matching = StageTiming(
-        batch_s=best_of(lambda: matcher.match_batch(trace.rss), repeat),
-        loop_s=best_of(
-            lambda: [matcher.match(frame) for frame in trace.rss], repeat
-        ),
-    )
 
     return {
         "scenario": spec.name,
-        "links": deployment.link_count,
-        "cells": deployment.cell_count,
-        "frames": int(frames),
-        "samples_per_cell": int(samples_per_cell),
-        "survey": survey.as_dict(),
-        "solve": {
-            "cold_s": cold_s,
-            "warm_s": warm_s,
-            "legacy_cold_s": legacy_cold_s,
-            "speedup": legacy_cold_s / cold_s if cold_s > 0 else float("inf"),
-            "cold_iterations": cold_iterations,
-            "warm_iterations": warm_iterations,
-            "legacy_iterations": legacy_iterations,
-            "warm_le_cold": all(
-                w <= c for w, c in zip(warm_iterations, cold_iterations)
-            ),
-        },
-        "match_trace": matching.as_dict(),
+        "cold_iterations": cold_iterations,
+        "warm_iterations": warm_iterations,
+        "warm_le_cold": all(
+            w <= c for w, c in zip(warm_iterations, cold_iterations)
+        ),
     }
 
 
-def _run(config: BenchConfig) -> Dict[str, object]:
-    record: Dict[str, object] = {}
-    for size in config.sizes:
-        record[size] = bench_size(
-            size,
-            frames=config.frames,
-            samples_per_cell=config.samples_per_cell,
-            repeat=config.repeat,
-            seed=config.seed,
-        )
-    return record
-
-
-def _format(record: Dict[str, object]) -> List[str]:
-    lines: List[str] = []
-    header = (
-        f"{'size':<12} {'links':>5} {'cells':>6} "
-        f"{'survey x':>9} {'match x':>8} {'solve x':>8} "
-        f"{'cold/warm [s]':>14}"
-    )
-    lines.append(header)
-    lines.append("-" * len(header))
-    for size, row in record.items():
-        survey = row["survey"]
-        match = row["match_trace"]
-        solve = row["solve"]
-        lines.append(
-            f"{size:<12} {row['links']:>5} {row['cells']:>6} "
-            f"{survey['speedup']:>9.1f} {match['speedup']:>8.1f} "
-            f"{solve.get('speedup', float('nan')):>8.1f} "
-            f"{solve['cold_s']:>7.2f}/{solve['warm_s']:.2f}"
-        )
-    return lines
-
-
 def _smoke_gates(record: Dict[str, object]) -> List[str]:
-    failures: List[str] = []
-    for size, row in record.items():
-        if not row["solve"]["warm_le_cold"]:
-            failures.append(
-                f"solve: warm-start iterations exceed cold on {size}"
-            )
-    return failures
+    if not record["warm_le_cold"]:
+        return [
+            "solve: warm-start iterations exceed cold on "
+            f"{record['scenario']}"
+        ]
+    return []
 
 
-register(
-    BenchSection(
-        name="solve",
-        run=_run,
-        format=_format,
-        smoke_gates=_smoke_gates,
-        report_key="sizes",
-        host_stamp="rows",
-    )
-)
+register(BenchSection(name="solve", run=bench_solve, smoke_gates=_smoke_gates))

@@ -7,7 +7,7 @@ front-end while recording honest per-query latency
 (:mod:`repro.loadgen.driver`), the SLO saturation search
 (:mod:`repro.loadgen.slo`), and the many-site registration soak
 (:mod:`repro.loadgen.soak`). The section's smoke gates are the CI
-``loadgen-smoke`` gate (``bench_perf.py --smoke --only loadgen``).
+``loadgen-smoke`` gate (``bench_perf.py --only loadgen``).
 """
 
 from repro.loadgen.driver import (

@@ -38,7 +38,8 @@ of :mod:`repro.eval.bench` (``make frontend-smoke`` /
 ``make resilience-smoke``).
 
 See ``tafloc-repro serve --listen`` / ``query --connect`` for the CLI
-surface and ``benchmarks/bench_perf.py`` for throughput numbers.
+surface; ``perfbench/`` measures it end to end, and its ``service.*``,
+``protocol.*`` and ``aio.*`` rows break a query down by layer.
 """
 
 from repro.serve.aio import AioFrontend, AsyncServiceClient

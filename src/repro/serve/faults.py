@@ -26,7 +26,7 @@ kills the workers. This module is that something, in three layers:
 
 Everything here is test/benchmark machinery — production code never
 imports it — but it lives in ``src`` because the ``resilience`` and
-``trust`` bench sections (:func:`repro.eval.bench.bench_resilience`,
+``trust`` gate sections (:func:`repro.eval.bench.bench_resilience`,
 :func:`repro.eval.bench.bench_trust`), whose smoke gates are the CI
 resilience gate, drive it.
 """
@@ -261,8 +261,7 @@ class FaultInjector:
 
         Unlike :meth:`hang` this is awaited (the pipe stays in sync):
         it degrades latency without breaking anything — the tail-latency
-        perturbation knob for :func:`bench_resilience
-        <repro.eval.bench.bench_resilience>`.
+        perturbation knob of a :class:`FaultSchedule` ``delay`` event.
         """
         shard = self.service._shards[shard_index]
         applied = False

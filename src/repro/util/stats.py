@@ -1,21 +1,17 @@
-"""Latency statistics shared by every benchmark and the load generator.
+"""Latency statistics for the load generator.
 
-Two tools, one vocabulary:
+:class:`LatencyHistogram` is a fixed geometric-bucket histogram for
+recording per-query latency at load-generator scale. Exact-sample
+percentiles need every observation in memory and a sort per report;
+the histogram is O(buckets) memory regardless of query count, merges
+across worker threads without reordering, and its bucket layout is a
+*fixed* function of the constructor arguments — so two runs (or two
+threads) always bin identically and merged results are independent of
+merge order. Percentiles interpolate within the winning bucket, with
+relative error bounded by the bucket growth factor.
 
-* :func:`latency_summary` — exact percentiles over a list of wall-time
-  samples, the summary every bench section reports (p50/p95/p99, max,
-  mean, all in milliseconds). It is the single definition every section
-  of :mod:`repro.eval.bench` (and the load generator's closed-loop
-  driver) routes through.
-* :class:`LatencyHistogram` — fixed geometric-bucket histogram for
-  recording per-query latency at load-generator scale. Exact-sample
-  percentiles need every observation in memory and a sort per report;
-  the histogram is O(buckets) memory regardless of query count, merges
-  across worker threads without reordering, and its bucket layout is a
-  *fixed* function of the constructor arguments — so two runs (or two
-  threads) always bin identically and merged results are independent of
-  merge order. Percentiles interpolate within the winning bucket, with
-  relative error bounded by the bucket growth factor.
+Per-layer serving throughput and latency are measured by the
+``perfbench/`` benchmark (its ``matching.*`` and ``service.*`` rows).
 
 Everything here is pure computation — no clocks, no RNG — so it is
 safe to import from deterministic modules.
@@ -24,11 +20,11 @@ safe to import from deterministic modules.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-__all__ = ["LatencyHistogram", "latency_summary", "timed_singles"]
+__all__ = ["LatencyHistogram"]
 
 #: Percentiles every latency report carries, as (key, q) pairs.
 _SUMMARY_PERCENTILES: Sequence[tuple[str, float]] = (
@@ -36,49 +32,6 @@ _SUMMARY_PERCENTILES: Sequence[tuple[str, float]] = (
     ("p95_ms", 95.0),
     ("p99_ms", 99.0),
 )
-
-
-def latency_summary(
-    latencies_s: Sequence[float], *, p999: bool = False
-) -> Dict[str, float]:
-    """Exact-percentile summary of wall-time samples, in milliseconds.
-
-    The shared row schema of every bench section: ``count``, ``p50_ms``,
-    ``p95_ms``, ``p99_ms``, ``max_ms``, ``mean_ms`` — plus ``p999_ms``
-    when ``p999`` is set (the load-generator sections report four nines;
-    the pre-existing sections keep their historical shape so committed
-    ``BENCH_PR*.json`` files stay field-for-field comparable).
-    """
-    if not latencies_s:
-        return {"count": 0}
-    arr = np.asarray(latencies_s, dtype=float) * 1000.0
-    summary: Dict[str, float] = {"count": int(arr.size)}
-    for key, q in _SUMMARY_PERCENTILES:
-        summary[key] = float(np.percentile(arr, q))
-    if p999:
-        summary["p999_ms"] = float(np.percentile(arr, 99.9))
-    summary["max_ms"] = float(arr.max())
-    summary["mean_ms"] = float(arr.mean())
-    return summary
-
-
-def timed_singles(
-    call: "object", frames: Sequence[object]
-) -> List[float]:
-    """Per-call wall times for one sequential pass of ``call`` over ``frames``.
-
-    The single-query latency probe used by the wire bench sections; the
-    clock is read here (the benchmark layer) so the called code stays
-    wall-clock free.
-    """
-    import time
-
-    latencies: List[float] = []
-    for frame in frames:
-        start = time.perf_counter()
-        call(frame)  # type: ignore[operator]
-        latencies.append(time.perf_counter() - start)
-    return latencies
 
 
 class LatencyHistogram:

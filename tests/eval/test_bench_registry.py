@@ -1,17 +1,18 @@
-"""The BenchSection registry: ordering, --only filtering, smoke gates."""
+"""The gate-section registry: ordering, --only filtering, smoke gates."""
 
 from __future__ import annotations
 
 import copy
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.eval.bench import (
-    SMOKE_KNOBS,
     get_section,
     identical,
+    registry,
     run_perf_bench,
     section_names,
     sections,
@@ -35,13 +36,26 @@ def test_every_section_registered_in_report_order():
     assert section_names() == CANONICAL
 
 
-def test_sections_expose_their_report_keys():
-    by_name = {section.name: section for section in sections()}
-    assert by_name["solve"].report_key == "sizes"
-    assert by_name["solve"].host_stamp == "rows"
-    for name in CANONICAL[1:]:
-        assert by_name[name].report_key == name
-        assert by_name[name].host_stamp == "section"
+@pytest.fixture
+def stub_runs(monkeypatch):
+    """Every section's run replaced by a cheap stub naming itself."""
+    for section in sections():
+        monkeypatch.setitem(
+            registry._SECTIONS,
+            section.name,
+            dataclasses.replace(
+                section,
+                run=lambda seed, name=section.name: {"ran": name, "seed": seed},
+            ),
+        )
+
+
+def test_sections_expose_their_report_keys(stub_runs):
+    # Every record lands under its section's own name, in run order.
+    report = run_perf_bench(seed=5)
+    assert list(report) == ["benchmark", "seed", "environment", *CANONICAL]
+    for name in CANONICAL:
+        assert report[name] == {"ran": name, "seed": 5}
 
 
 def test_get_section_unknown_name():
@@ -51,29 +65,16 @@ def test_get_section_unknown_name():
 
 def test_only_unknown_name_rejected():
     with pytest.raises(ValueError, match="unknown bench section"):
-        run_perf_bench(sizes=(), only=["warp-drive"])
+        run_perf_bench(only=["warp-drive"])
 
 
-def test_only_filters_sections():
-    # Empty sizes keeps the solve section trivially cheap; every other
-    # section's knob stays None, so `only` is the sole selector.
-    report = run_perf_bench(
-        sizes=(),
-        only=["solve"],
-        serving_sites=("square-3m",),  # would run without only=
-    )
-    assert "sizes" in report
-    assert "serving" not in report
-    assert set(report) == {"benchmark", "seed", "environment", "sizes"}
-
-
-def test_none_knob_still_skips_inside_only():
-    report = run_perf_bench(sizes=(), only=["solve", "serving"])
-    assert "serving" not in report  # serving_sites=None skips it
+def test_only_filters_sections(stub_runs):
+    report = run_perf_bench(only=["solve"])
+    assert set(report) == {"benchmark", "seed", "environment", "solve"}
 
 
 def test_smoke_failures_skips_absent_sections():
-    assert smoke_failures({"benchmark": "bench_perf"}) == []
+    assert smoke_failures({"benchmark": "bench_perf"}) == {}
 
 
 def test_smoke_failures_surface_section_gates():
@@ -89,7 +90,8 @@ def test_smoke_failures_surface_section_gates():
         }
     }
     failures = smoke_failures(report)
-    assert any("bit-identical" in failure for failure in failures)
+    assert list(failures) == ["loadgen"]
+    assert any("bit-identical" in failure for failure in failures["loadgen"])
 
 
 SERVING_GATES = ["frontend", "frontend_async", "resilience", "trust"]
@@ -100,9 +102,88 @@ def test_serving_smoke_gates_pass_at_smoke_scale():
     # The CI smoke configuration of every fleet-spawning section: wire
     # and shard identity, kill -9 of each shard, resize, quorum repair,
     # scrub, degraded serving and snapshot retention must all hold.
-    report = run_perf_bench(**SMOKE_KNOBS, only=SERVING_GATES)
-    assert set(SERVING_GATES) <= set(report)
-    assert smoke_failures(report) == []
+    report = run_perf_bench(only=SERVING_GATES)
+    assert smoke_failures(report) == {name: [] for name in SERVING_GATES}
+
+
+def _probe_summary():
+    """A schema-valid loadgen run summary with no failed or wrong answers."""
+    return {
+        "arrival": "open",
+        "transport": "http",
+        "offered_qps": 50.0,
+        "achieved_qps": 50.0,
+        "requests": 60,
+        "completed": 60,
+        "failed_queries": 0,
+        "mismatched_queries": 0,
+        "wall_s": 1.2,
+        "latency": {
+            "count": 60,
+            "p50_ms": 1.0,
+            "p95_ms": 2.0,
+            "p99_ms": 3.0,
+            "max_ms": 4.0,
+            "mean_ms": 1.5,
+        },
+    }
+
+
+def _passing_loadgen():
+    return {
+        "sites": ["square-3m"],
+        "plan": {
+            "arrival": "open",
+            "process": "poisson",
+            "seed": 2016,
+            "sites": 1,
+            "zipf_s": 1.1,
+            "rate_qps": 50.0,
+            "clients": 4,
+            "requests": 60,
+            "duration_s": 1.2,
+            "fingerprint": "00ff",
+        },
+        "plan_bit_identical": True,
+        "slo_ms": 50.0,
+        "saturation": {
+            "http-shards1": {
+                "slo_ms": 50.0,
+                "percentile": "p99_ms",
+                "max_sustained_qps": 800.0,
+                "sustained": _probe_summary(),
+                "probes": [_probe_summary()],
+            }
+        },
+        "closed_loop": _probe_summary(),
+        "perturbation": {
+            "quiet": _probe_summary(),
+            "refresh": _probe_summary(),
+        },
+        "soak": {
+            "sites": 200,
+            "spec": "square-3m",
+            "zipf_s": 1.1,
+            "queries": 200,
+            "register_s": 0.01,
+            "warm_s": 0.02,
+            "pipelines_built": 1,
+            "rss_kb": {
+                "baseline": None,
+                "registered": None,
+                "warm": None,
+                "queried": None,
+            },
+            "query_phase": {
+                "failed_queries": 0,
+                "completed": 200,
+                "qps": 1000.0,
+                "distinct_sites_hit": 70,
+                "latency": _probe_summary()["latency"],
+            },
+            "routing": {},
+        },
+    }
 
 
 def _passing_records():
@@ -119,6 +200,24 @@ def _passing_records():
         "snapshots_restored": 2,
     }
     return {
+        "solve": {"scenario": site, "warm_le_cold": True},
+        "engine": {
+            "fig3": {"bit_identical": True},
+            "fig5": {"bit_identical": True},
+        },
+        "serving": {"per_site": {site: {"bit_identical": True}}},
+        "frontend_async": {
+            "per_site": {site: {"bit_identical": True}},
+            "trace_streaming": {
+                "lengths": {
+                    "24": {"bit_identical": True},
+                    "192": {"bit_identical": True},
+                },
+                "scores_bit_identical": True,
+                "buffering_flat": True,
+            },
+        },
+        "loadgen": _passing_loadgen(),
         "frontend": {
             "per_site": {site: dict(wire)},
             "shards": {"1": {"bit_identical": True}},
@@ -180,9 +279,145 @@ def _passing_records():
         ),
         ("trust", ("degraded", "stale"), False, "stale=False"),
         ("trust", ("snapshot_soak", "files_pruned"), 0, "files_pruned"),
+        (
+            "solve",
+            ("warm_le_cold",),
+            False,
+            "warm-start iterations exceed cold",
+        ),
+        ("engine", ("fig5", "bit_identical"), False, "differ from serial"),
+        (
+            "serving",
+            ("per_site", "square-3m", "bit_identical"),
+            False,
+            "serving answers differ",
+        ),
+        (
+            "frontend_async",
+            ("per_site", "square-3m", "bit_identical"),
+            False,
+            "asyncio front-end answers differ",
+        ),
+        (
+            "frontend_async",
+            ("trace_streaming", "lengths", "192", "bit_identical"),
+            False,
+            "asyncio front-end answers differ",
+        ),
+        (
+            "frontend_async",
+            ("trace_streaming", "scores_bit_identical"),
+            False,
+            "asyncio front-end answers differ",
+        ),
+        (
+            "frontend_async",
+            ("trace_streaming", "buffering_flat"),
+            False,
+            "peak buffering grows",
+        ),
+        ("loadgen", ("plan_bit_identical",), False, "not bit-identical"),
+        (
+            "loadgen",
+            ("saturation", "http-shards1", "max_sustained_qps"),
+            0.0,
+            "http-shards1 sustained no rate",
+        ),
+        (
+            "loadgen",
+            ("saturation", "http-shards1", "sustained", "mismatched_queries"),
+            1,
+            "http-shards1 sustained run had failed/mismatched",
+        ),
+        (
+            "loadgen",
+            ("closed_loop", "mismatched_queries"),
+            1,
+            "closed-loop run had failed/mismatched",
+        ),
+        (
+            "loadgen",
+            ("perturbation", "refresh", "mismatched_queries"),
+            1,
+            "refresh perturbation phase",
+        ),
+        (
+            "loadgen",
+            ("soak", "pipelines_built"),
+            2,
+            "more than one pipeline",
+        ),
+        (
+            "loadgen",
+            ("soak", "query_phase", "failed_queries"),
+            1,
+            "soak query phase had failures",
+        ),
+        ("loadgen", ("slo_ms",), "50", "$.loadgen.slo_ms"),
+        ("engine", ("fig3", "bit_identical"), False, "differ from serial"),
+        (
+            "frontend",
+            ("per_site", "square-3m", "http_bit_identical"),
+            False,
+            "http_bit_identical",
+        ),
+        (
+            "frontend",
+            ("shards", "1", "bit_identical"),
+            False,
+            "shards.1.bit_identical",
+        ),
+        ("resilience", ("zero_loss",), False, "queries lost"),
+        ("resilience", ("recovered",), False, "did not recover"),
+        (
+            "resilience",
+            ("snapshots_restored",),
+            0,
+            "resilience: snapshots_restored is 0",
+        ),
+        (
+            "resilience",
+            ("snapshot_warm_bit_identical",),
+            False,
+            "snapshot-warmed fleet answers differ",
+        ),
+        (
+            "resilience",
+            ("post_recovery_bit_identical",),
+            False,
+            "post_recovery_bit_identical",
+        ),
+        (
+            "trust",
+            ("corruption_episode", "failed_queries"),
+            1,
+            "leaked wrong or failed answers",
+        ),
+        (
+            "trust",
+            ("corruption_episode", "repairs"),
+            0,
+            "not detected, quarantined and repaired",
+        ),
+        ("trust", ("scrub", "quarantined"), 1, "scrub after repair"),
+        (
+            "trust",
+            ("silent_corruption", "post_scrub_bit_identical"),
+            False,
+            "post_scrub_bit_identical",
+        ),
+        ("trust", ("snapshot_soak", "bounded"), False, "unbounded"),
+        (
+            "loadgen",
+            ("perturbation", "quiet", "failed_queries"),
+            1,
+            "quiet perturbation phase",
+        ),
     ],
 )
 def test_each_serving_gate_names_its_field(section, path, value, field):
+    # One row per gate condition of every section: the passing record
+    # passes, and breaking the one field fails with a message naming it.
     record = _passing_records()[section]
     gates = get_section(section).smoke_gates
     assert gates(record) == []

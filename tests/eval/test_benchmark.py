@@ -1,95 +1,113 @@
-"""Smoke tests for the perf benchmark harness (kept tiny — the real run is
-``make bench``)."""
+"""Smoke tests for the gate runner ``benchmarks/bench_perf.py`` (kept tiny —
+the CI run is ``make bench-smoke``)."""
 
+import contextlib
+import dataclasses
+import importlib.util
+import io
 import json
+from pathlib import Path
 
 import pytest
 
-from repro.eval.bench import (
-    bench_engine,
-    build_bench_deployment,
-    format_bench_report,
-    run_perf_bench,
-)
+from repro.eval.bench import bench_engine, bench_spec, registry
+from repro.sim.specs import build_deployment
+
+_SCRIPT = Path(__file__).resolve().parents[2] / "benchmarks" / "bench_perf.py"
+
+
+def _bench_perf():
+    spec = importlib.util.spec_from_file_location("bench_perf", _SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _run_script(argv):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = _bench_perf().main(argv)
+    return code, stdout.getvalue(), stderr.getvalue()
 
 
 @pytest.fixture(scope="module")
 def tiny_report(tmp_path_factory):
     out = tmp_path_factory.mktemp("bench") / "bench.json"
-    report = run_perf_bench(
-        sizes=("square-3m",),
-        frames=24,
-        samples_per_cell=2,
-        repeat=1,
-        out_path=out,
-        serving_sites=("square-3m", "square-4m"),
+    code, stdout, _ = _run_script(
+        ["--only", "solve", "--only", "serving", "--out", str(out)]
     )
-    return report, out
+    return code, json.loads(out.read_text()), stdout
 
 
 def test_deployment_sizes():
-    paper = build_bench_deployment("paper")
+    paper = build_deployment(bench_spec("paper").geometry)
     assert paper.cell_count == 96
-    square = build_bench_deployment("square-6m")
+    square = build_deployment(bench_spec("square-6m").geometry)
     assert square.cell_count == 100
-    # Any registered scenario benchmarks directly.
-    warehouse = build_bench_deployment("warehouse")
+    # Any registered scenario resolves directly.
+    warehouse = build_deployment(bench_spec("warehouse").geometry)
     assert warehouse.link_count == 6
     with pytest.raises(ValueError, match="unknown scenario"):
-        build_bench_deployment("mega")
+        bench_spec("mega")
 
 
 def test_report_structure(tiny_report):
-    report, out = tiny_report
-    record = report["sizes"]["square-3m"]
-    for stage in ("survey", "match_trace"):
-        assert record[stage]["batch_s"] > 0
-        assert record[stage]["loop_s"] > 0
-        assert record[stage]["speedup"] > 0
-    solve = record["solve"]
+    code, report, _ = tiny_report
+    assert code == 0
+    assert set(report) == {"benchmark", "seed", "environment", "solve", "serving"}
+    assert report["environment"]["cpu_count"] >= 1
+    solve = report["solve"]
+    assert solve["scenario"] == "square-3m"
     assert len(solve["cold_iterations"]) == 4
-    assert solve["legacy_cold_s"] > 0
-    assert solve["speedup"] > 0
-    assert isinstance(solve["warm_le_cold"], bool)
-    persisted = json.loads(out.read_text())
-    assert persisted["sizes"]["square-3m"]["frames"] == 24
+    assert len(solve["warm_iterations"]) == 4
+    assert solve["warm_le_cold"] is True
 
 
 def test_serving_section_structure(tiny_report):
-    report, out = tiny_report
+    _, report, _ = tiny_report
     serving = report["serving"]
-    assert serving["sites"] == ["square-3m", "square-4m"]
-    assert serving["multi_site"]["pipelines_built"] == 2
+    assert set(serving["per_site"]) == {"square-3m", "square-4m"}
     for row in serving["per_site"].values():
         assert row["bit_identical"] is True
-        assert row["cold_first_query_s"] > 0
-        for key in ("warm_batch_qps", "warm_single_qps", "rebuild_single_qps",
-                    "matcher_cache_speedup"):
-            assert row[key] > 0
-    assert serving["multi_site"]["interleaved_single_qps"] > 0
-    assert serving["multi_site"]["batch_qps"] > 0
-    persisted = json.loads(out.read_text())
-    assert set(persisted["serving"]["per_site"]) == {"square-3m", "square-4m"}
 
 
 def test_report_formatting_includes_serving(tiny_report):
-    report, _ = tiny_report
-    text = format_bench_report(report)
-    assert "serving layer" in text
-    assert "bit-identical" in text
+    _, _, stdout = tiny_report
+    assert "serving: pass" in stdout.splitlines()
 
 
 def test_engine_section_bit_identical():
-    record = bench_engine(jobs=2, seed=99, fig3_days=(3.0,), fig5_day=30.0)
+    record = bench_engine(99)
     for name in ("fig3", "fig5"):
         assert record[name]["bit_identical"] is True
-        assert record[name]["legacy_s"] > 0
-        assert record[name]["serial_s"] > 0
-        assert record[name]["parallel_s"] > 0
 
 
 def test_format_report(tiny_report):
-    report, _ = tiny_report
-    text = format_bench_report(report)
-    assert "square-3m" in text
-    assert "survey x" in text
+    # The printed report is one verdict line per section run, in order.
+    _, _, stdout = tiny_report
+    assert stdout.splitlines() == ["solve: pass", "serving: pass"]
+
+
+def test_failing_gate_writes_report_and_replay_line(tmp_path, monkeypatch):
+    section = registry.get_section("solve")
+    monkeypatch.setitem(
+        registry._SECTIONS,
+        "solve",
+        dataclasses.replace(
+            section,
+            run=lambda seed: {"seed": seed},
+            smoke_gates=lambda record: ["solve: gate broke"],
+        ),
+    )
+    out = tmp_path / "report.json"
+    code, stdout, stderr = _run_script(
+        ["--seed", "7", "--only", "solve", "--out", str(out)]
+    )
+    assert code == 1
+    assert stdout.splitlines() == ["solve: FAIL"]
+    assert "FAIL: solve: gate broke" in stderr
+    assert (
+        "replay with: python benchmarks/bench_perf.py --seed 7 --only solve"
+        in stderr
+    )
+    assert json.loads(out.read_text())["solve"] == {"seed": 7}

@@ -3,37 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.util.stats import (
-    LatencyHistogram,
-    latency_summary,
-    merge_histograms,
-    timed_singles,
-)
-
-
-class TestLatencySummary:
-    def test_empty(self):
-        assert latency_summary([]) == {"count": 0}
-
-    def test_keys_and_units(self):
-        summary = latency_summary([0.001, 0.002, 0.003])
-        assert set(summary) == {
-            "count",
-            "p50_ms",
-            "p95_ms",
-            "p99_ms",
-            "max_ms",
-            "mean_ms",
-        }
-        assert summary["count"] == 3
-        assert summary["p50_ms"] == pytest.approx(2.0)
-        assert summary["max_ms"] == pytest.approx(3.0)
-        assert summary["mean_ms"] == pytest.approx(2.0)
-
-    def test_p999_opt_in(self):
-        summary = latency_summary([0.001] * 10, p999=True)
-        assert "p999_ms" in summary
-        assert summary["p999_ms"] == pytest.approx(1.0)
+from repro.util.stats import LatencyHistogram, merge_histograms
 
 
 class TestLatencyHistogram:
@@ -124,12 +94,3 @@ class TestLatencyHistogram:
         hist = LatencyHistogram()
         with pytest.raises(ValueError):
             hist.percentile(101.0)
-
-
-class TestTimedSingles:
-    def test_calls_every_frame_and_returns_positive_times(self):
-        seen = []
-        latencies = timed_singles(seen.append, ["a", "b", "c"])
-        assert seen == ["a", "b", "c"]
-        assert len(latencies) == 3
-        assert all(t >= 0 for t in latencies)
