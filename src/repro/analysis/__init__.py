@@ -10,9 +10,8 @@ those guarantees hold* at analysis time, before any test runs:
 * **Concurrency** (RL-C01..C03) — nested lock acquisitions follow each
   class's declared ``_LOCK_ORDER``, nothing blocks the asyncio event
   loop, every thread is named and daemonized-or-joined.
-* **Wire contract** (RL-W01..W02) — ``protocol.METHODS``, the handler
-  table, handler error contracts, and both client classes move in
-  lockstep.
+* **Wire contract** (RL-W01) — ``protocol.METHODS``, the handler
+  table and the handlers' error contracts move in lockstep.
 
 Entry points: ``python -m repro.analysis``, ``tafloc-repro analyze``,
 ``make analyze``. See :mod:`repro.analysis.engine` for suppression

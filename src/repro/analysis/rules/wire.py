@@ -1,19 +1,18 @@
 """Wire-contract rules (RL-W*): the protocol surface cannot drift.
 
-The serving protocol's promise is that every transport and every client
-expose the *same* method surface with the *same* error contract. That
-promise spans three files (``serve/protocol.py``, ``serve/frontend.py``,
-``serve/aio.py``) which nothing previously forced to move together.
-RL-W01 pins the ``METHODS`` tuple to the handler table and each
-handler's **docstring-declared** error contract; RL-W02 pins both client
-classes to ``METHODS``.
+The serving protocol's promise is that every transport exposes the
+*same* method surface with the *same* error contract. RL-W01 pins the
+``METHODS`` tuple to the handler table and each handler's
+**docstring-declared** error contract. Both clients take their wrappers
+from one shared surface (``serve/frontend.py`` ``ClientSurface``), so
+client parity holds by construction and needs no rule.
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.analysis.engine import Project, Rule, SourceFile, dotted_name
 from repro.analysis.findings import Finding
@@ -22,15 +21,6 @@ from repro.analysis.rules import register
 PROTOCOL_FILE = "serve/protocol.py"
 METHODS_NAME = "METHODS"
 HANDLERS_NAME = "_HANDLERS"
-
-#: Client classes that must stay in parity with METHODS.
-CLIENT_CLASSES = (
-    ("serve/frontend.py", "ServiceClient"),
-    ("serve/aio.py", "AsyncServiceClient"),
-)
-
-#: Class attribute listing wire methods a client intentionally omits.
-CLIENT_EXEMPT_ATTR = "_WIRE_EXEMPT"
 
 #: The documented error contract: exception type -> wire status.
 CONTRACT_STATUS = {
@@ -266,97 +256,4 @@ class HandlerErrorContract(Rule):
                         f"only {sorted(declared)}"
                     ),
                     key=f"undeclared-status:{method}:{status}",
-                )
-
-
-@register
-class ClientSurfaceParity(Rule):
-    """RL-W02: client classes expose every wire method, by the same name.
-
-    ``ServiceClient`` and ``AsyncServiceClient`` are the in-process
-    contract's remote faces: code written against the service object
-    must run unchanged against either client. A wire method without a
-    same-named client wrapper forces callers down the untyped
-    ``call()`` escape hatch, which silently bypasses result decoding
-    and the idempotency-aware retry table. Intentional omissions go in
-    the class's ``_WIRE_EXEMPT`` tuple — visible, greppable, reviewed.
-    """
-
-    id = "RL-W02"
-    title = "client method surface out of parity with METHODS"
-
-    def check(self, project: Project) -> Iterator[Finding]:
-        protocol = project.get(PROTOCOL_FILE)
-        if protocol is None:
-            return
-        methods = _string_tuple(
-            _module_assign(protocol.tree, METHODS_NAME) or ast.Tuple(elts=[])
-        )
-        if not methods:
-            return
-        for rel, class_name in CLIENT_CLASSES:
-            source = project.get(rel)
-            if source is None:
-                continue
-            cls = next(
-                (
-                    node
-                    for node in ast.walk(source.tree)
-                    if isinstance(node, ast.ClassDef)
-                    and node.name == class_name
-                ),
-                None,
-            )
-            if cls is None:
-                continue
-            yield from self._check_client(source, cls, methods)
-
-    def _check_client(
-        self,
-        source: SourceFile,
-        cls: ast.ClassDef,
-        methods: Sequence[str],
-    ) -> Iterator[Finding]:
-        defined = {
-            node.name
-            for node in cls.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        }
-        exempt: Tuple[str, ...] = ()
-        for stmt in cls.body:
-            if isinstance(stmt, ast.Assign):
-                for target in stmt.targets:
-                    if (
-                        isinstance(target, ast.Name)
-                        and target.id == CLIENT_EXEMPT_ATTR
-                    ):
-                        exempt = _string_tuple(stmt.value) or ()
-        for method in methods:
-            if method in defined or method in exempt:
-                continue
-            yield Finding(
-                path=source.rel,
-                line=cls.lineno,
-                col=cls.col_offset,
-                rule=self.id,
-                message=(
-                    f"{cls.name} has no {method}() wrapper for wire "
-                    f"method {method!r} (add one or list it in "
-                    f"{CLIENT_EXEMPT_ATTR} with a comment)"
-                ),
-                key=f"{cls.name}:{method}",
-            )
-        for method in exempt:
-            if method in defined:
-                yield Finding(
-                    path=source.rel,
-                    line=cls.lineno,
-                    col=cls.col_offset,
-                    rule=self.id,
-                    message=(
-                        f"{cls.name}.{CLIENT_EXEMPT_ATTR} lists "
-                        f"{method!r} but the method exists — stale exempt "
-                        "entry"
-                    ),
-                    key=f"{cls.name}:stale-exempt:{method}",
                 )

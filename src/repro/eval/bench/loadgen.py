@@ -214,29 +214,24 @@ def _smoke_gates(record: Dict[str, object]) -> List[str]:
             failures.append(
                 f"loadgen: {key} sustained run had failed/mismatched queries"
             )
-    closed = record.get("closed_loop")
-    if closed and (
-        closed["failed_queries"] != 0 or closed["mismatched_queries"] != 0
-    ):
+    closed = record["closed_loop"]
+    if closed["failed_queries"] != 0 or closed["mismatched_queries"] != 0:
         failures.append("loadgen: closed-loop run had failed/mismatched queries")
-    perturbation = record.get("perturbation")
-    if perturbation:
-        for phase in ("quiet", "refresh"):
-            row = perturbation[phase]
-            if row["failed_queries"] != 0 or row["mismatched_queries"] != 0:
-                failures.append(
-                    f"loadgen: {phase} perturbation phase had "
-                    "failed/mismatched queries"
-                )
-    soak = record.get("soak")
-    if soak:
-        if soak["pipelines_built"] != 1:
+    for phase in ("quiet", "refresh"):
+        row = record["perturbation"][phase]
+        if row["failed_queries"] != 0 or row["mismatched_queries"] != 0:
             failures.append(
-                "loadgen: soak built more than one pipeline "
-                "(spec dedupe regressed)"
+                f"loadgen: {phase} perturbation phase had "
+                "failed/mismatched queries"
             )
-        if soak["query_phase"]["failed_queries"] != 0:
-            failures.append("loadgen: soak query phase had failures")
+    soak = record["soak"]
+    if soak["pipelines_built"] != 1:
+        failures.append(
+            "loadgen: soak built more than one pipeline "
+            "(spec dedupe regressed)"
+        )
+    if soak["query_phase"]["failed_queries"] != 0:
+        failures.append("loadgen: soak query phase had failures")
     failures.extend(validate_loadgen_section(record))
     return failures
 

@@ -158,9 +158,12 @@ def validate_loadgen_section(section: Dict[str, Any]) -> List[str]:
         "plan_bit_identical": bool,
         "slo_ms": _NUMBER,
         "saturation": dict,
-        "closed_loop": Optional(DRIVER_SUMMARY_TEMPLATE),
-        "perturbation": Optional(dict),
-        "soak": Optional(SOAK_TEMPLATE),
+        "closed_loop": DRIVER_SUMMARY_TEMPLATE,
+        "perturbation": {
+            "quiet": DRIVER_SUMMARY_TEMPLATE,
+            "refresh": DRIVER_SUMMARY_TEMPLATE,
+        },
+        "soak": SOAK_TEMPLATE,
     }
     problems = validate(section, template, "$.loadgen")
     saturation = section.get("saturation")

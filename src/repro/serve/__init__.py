@@ -16,7 +16,10 @@ deployment pieces:
   connection);
 * :mod:`repro.serve.frontend` — the sync
   :class:`~repro.serve.frontend.ServiceClient` (``http://``, ``tcp://``,
-  ``unix://``) with its retry policy;
+  ``unix://``) with its retry policy, and
+  :class:`~repro.serve.frontend.ClientSurface`, the one wrapper per wire
+  method that both clients inherit: a new wire method gets its one
+  client wrapper there;
 * :mod:`repro.serve.scheduler` — staleness-driven background fingerprint
   refresh (interval / round-robin / priority / drift policies) plus the
   snapshot-lifecycle cadence;

@@ -84,15 +84,23 @@ import socket
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from http import HTTPStatus
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 from urllib.parse import parse_qsl, urlsplit
 
 import numpy as np
 
-from repro.serve.frontend import RemoteBatchResult, RemoteMatchResult
+from repro.serve.frontend import (
+    ClientSurface,
+    Decoder,
+    RemoteBatchResult,
+    RemoteMatchResult,
+    checked_body,
+    decode_batch,
+    parse_address,
+    trace_frames,
+)
 from repro.serve.protocol import (
     DEFAULT_MAX_REQUEST_BYTES,
-    ERROR_TYPES,
     GET_METHODS,
     STREAM_CHUNK_FRAMES,
     DropResponse,
@@ -741,14 +749,19 @@ class AioFrontend:
 # ----------------------------------------------------------------------
 # client
 # ----------------------------------------------------------------------
-class AsyncServiceClient:
+class AsyncServiceClient(ClientSurface):
     """Pipelined asyncio client for the aio front-end.
 
     One persistent connection; a background reader task routes responses
     to per-request futures by id, so any number of concurrent ``call()``
     coroutines share the connection with their requests in flight at
-    once. Contract errors re-raise as the in-process exception types,
-    exactly like :class:`~repro.serve.frontend.ServiceClient`.
+    once. Every wire method's wrapper comes from
+    :class:`~repro.serve.frontend.ClientSurface` and returns an awaitable
+    here; contract errors re-raise as the in-process exception types,
+    exactly like :class:`~repro.serve.frontend.ServiceClient`. Only the
+    transport-specific paths live in this class: the coalescing
+    :meth:`query`, the streamed :meth:`query_trace` and
+    :meth:`pipeline_queries`.
 
     Transport errors surface raw: retry policy (idempotence bookkeeping,
     backoff, jitter) stays the sync client's job — this client exists
@@ -778,24 +791,7 @@ class AsyncServiceClient:
         limit: int = DEFAULT_MAX_REQUEST_BYTES,
     ) -> None:
         self.address = str(address)
-        parts = urlsplit(self.address)
-        if parts.scheme == "tcp":
-            if parts.hostname is None or parts.port is None:
-                raise ValueError(
-                    f"tcp address must be tcp://host:port, got {address!r}"
-                )
-            self._target: Tuple[str, Any] = ("tcp", (parts.hostname, parts.port))
-        elif parts.scheme == "unix":
-            path = parts.path or parts.netloc
-            if not path:
-                raise ValueError(
-                    f"unix address must be unix:///path, got {address!r}"
-                )
-            self._target = ("unix", path)
-        else:
-            raise ValueError(
-                f"unsupported address {address!r} (use tcp:// or unix://)"
-            )
+        self._target = parse_address(self.address, ("tcp", "unix"))
         self._timeout = float(timeout)
         self._stream_chunk = max(1, int(stream_chunk))
         self._limit = int(limit)
@@ -819,21 +815,19 @@ class AsyncServiceClient:
     async def connect(self) -> "AsyncServiceClient":
         async with self._connect_lock:
             if self._writer is None:
-                kind, target = self._target
-                if kind == "tcp":
-                    host, port = target
-                    self._reader, self._writer = await asyncio.wait_for(
-                        asyncio.open_connection(host, port, limit=self._limit),
-                        self._timeout,
+                scheme, target = self._target
+                if scheme == "tcp":
+                    opening = asyncio.open_connection(
+                        *target, limit=self._limit
                     )
-                    _set_nodelay(self._writer)
                 else:
-                    self._reader, self._writer = await asyncio.wait_for(
-                        asyncio.open_unix_connection(
-                            target, limit=self._limit
-                        ),
-                        self._timeout,
+                    opening = asyncio.open_unix_connection(
+                        *target, limit=self._limit
                     )
+                self._reader, self._writer = await asyncio.wait_for(
+                    opening, self._timeout
+                )
+                _set_nodelay(self._writer)
                 self._reader_task = asyncio.get_running_loop().create_task(
                     self._read_loop()
                 )
@@ -897,11 +891,9 @@ class AsyncServiceClient:
         if future.done():
             return
         if message.get("end"):
-            future.set_result(
-                ("stream", pending["header"] or {}, pending["parts"])
-            )
+            future.set_result((pending["header"] or {}, pending["parts"]))
         else:
-            future.set_result(("plain", message))
+            future.set_result((message, None))
 
     def _fail_pending(self, error: BaseException) -> None:
         if not isinstance(error, Exception):
@@ -921,45 +913,47 @@ class AsyncServiceClient:
             self._writer.write(data)
             await self._writer.drain()
 
-    def _register(self) -> Tuple[Any, "asyncio.Future"]:
+    async def _exchange(
+        self, request: Dict[str, Any], follow: Iterable[Dict[str, Any]] = ()
+    ) -> Dict[str, Any]:
+        """Send ``request`` and its ``follow`` continuation lines under one
+        fresh id; the answer body.
+
+        The id is pending from before the first line until the answer
+        arrives. A failed send or a timeout drops it again, so nothing
+        is left for :meth:`close` to fail with no one awaiting it.
+        """
+        await self.connect()
         req_id = next(self._ids)
         future = asyncio.get_running_loop().create_future()
         self._pending[req_id] = {"future": future, "header": None, "parts": []}
-        return req_id, future
-
-    async def _finish(self, req_id, future) -> Tuple[int, Dict[str, Any]]:
         try:
+            await self._send({"id": req_id, **request})
+            for line in follow:
+                await self._send({"id": req_id, **line})
             result = await asyncio.wait_for(future, self._timeout)
         except BaseException:
             self._pending.pop(req_id, None)
             raise
-        if result[0] == "plain":
-            message = result[1]
-            return int(message.get("status", 500)), message.get("body", {})
-        _, header, parts = result
-        return int(header.get("status", 200)), merge_trace_stream(
-            header, parts
-        )
-
-    @staticmethod
-    def _check(status: int, body: Dict[str, Any]) -> Dict[str, Any]:
-        if status >= 400:
-            error = ERROR_TYPES.get(body.get("error", ""), RuntimeError)
-            raise error(body.get("message", f"server returned {status}"))
-        return body
+        head, parts = result
+        if parts is None:  # one plain response line
+            status = int(head.get("status", 500))
+            return checked_body(status, head.get("body", {}))
+        status = int(head.get("status", 200))  # a streamed answer's header
+        return checked_body(status, merge_trace_stream(head, parts))
 
     async def call(
         self, method: str, params: Optional[Dict[str, Any]] = None
     ) -> Dict[str, Any]:
         """One protocol request; any number may be awaited concurrently."""
-        await self.connect()
-        req_id, future = self._register()
-        await self._send(
-            {"id": req_id, "method": method, "params": params or {}}
-        )
-        return self._check(*await self._finish(req_id, future))
+        return await self._exchange({"method": method, "params": params or {}})
 
-    # -- service surface -----------------------------------------------
+    async def _invoke(
+        self, method: str, params: Dict[str, Any], decode: Decoder
+    ):
+        return decode(await self.call(method, params))
+
+    # -- transport-specific surface ----------------------------------------
     async def query(self, site: str, rss, day: float) -> RemoteMatchResult:
         """One single-frame query (transparently micro-batched).
 
@@ -985,19 +979,6 @@ class AsyncServiceClient:
             loop.call_soon(self._flush_batches, loop)
         return await future
 
-    async def _query_plain(
-        self, site: str, frame: List[float], day: float
-    ) -> RemoteMatchResult:
-        body = await self.call(
-            "query", {"site": site, "rss": frame, "day": day}
-        )
-        return RemoteMatchResult(
-            cell=int(body["cell"]),
-            position=(body["position"][0], body["position"][1]),
-            score=float(body["score"]),
-            stale=bool(body.get("stale", False)),
-        )
-
     def _flush_batches(self, loop: asyncio.AbstractEventLoop) -> None:
         self._batch_flush_scheduled = False
         groups, self._batch_groups = self._batch_groups, {}
@@ -1014,7 +995,7 @@ class AsyncServiceClient:
     ) -> None:
         try:
             if len(entries) == 1:
-                results = [await self._query_plain(site, entries[0][0], day)]
+                results = [await super().query(site, entries[0][0], day)]
             else:
                 # The batch kernel gives every row a lone query's bits, so
                 # coalescing N queries into one round trip cannot change a
@@ -1049,33 +1030,6 @@ class AsyncServiceClient:
             if not future.done():
                 future.set_result(result)
 
-    @staticmethod
-    def _batch_result(body: Dict[str, Any]) -> RemoteBatchResult:
-        return RemoteBatchResult(
-            cells=np.asarray(body["cells"], dtype=int),
-            positions=np.asarray(body["positions"], dtype=float),
-            scores=(
-                np.asarray(body["scores"], dtype=float)
-                if "scores" in body
-                else None
-            ),
-            stale=bool(body.get("stale", False)),
-        )
-
-    async def query_batch(
-        self, site: str, frames, day: float, *, include_scores: bool = False
-    ) -> RemoteBatchResult:
-        body = await self.call(
-            "query_batch",
-            {
-                "site": site,
-                "frames": np.asarray(frames).tolist(),
-                "day": day,
-                "include_scores": include_scores,
-            },
-        )
-        return self._batch_result(body)
-
     async def query_trace(
         self,
         site: str,
@@ -1093,44 +1047,31 @@ class AsyncServiceClient:
         buffering is independent of trace length; the reassembled result
         is bit-identical to the non-streamed (and in-process) answer.
         """
-        if isinstance(trace, LiveTrace):
-            frames, day = trace.rss, trace.day
-        elif day is None:
-            raise ValueError("day is required when trace is a frames array")
-        else:
-            frames = trace
-        frames = np.asarray(frames, dtype=float)
-        params = {
-            "site": site,
-            "day": day,
-            "include_scores": include_scores,
-        }
         if not stream:
-            body = await self.call(
-                "query_trace", dict(params, frames=frames.tolist())
+            return await super().query_trace(
+                site, trace, day, include_scores=include_scores
             )
-            return self._batch_result(body)
+        frames, day = trace_frames(trace, day)
+        frames = np.asarray(frames, dtype=float)
         chunk = self._stream_chunk if chunk is None else max(1, int(chunk))
-        await self.connect()
-        req_id, future = self._register()
-        await self._send(
-            {
-                "id": req_id,
-                "method": "query_trace",
-                "params": params,
-                "stream": True,
-                "chunk": chunk,
-                "frames_follow": True,
-            }
+        # One packed chunk per line, packed as it is sent: the encode
+        # buffer holds one chunk, never the whole trace.
+        parts = (
+            {"frames": pack_array(frames[start : start + chunk], "<f8")}
+            for start in range(0, frames.shape[0], chunk)
         )
-        for start in range(0, frames.shape[0], chunk):
-            # One packed chunk per line: the encode buffer holds one
-            # chunk, never the whole trace.
-            part = pack_array(frames[start : start + chunk], "<f8")
-            await self._send({"id": req_id, "frames": part})
-        await self._send({"id": req_id, "end": True})
-        body = self._check(*await self._finish(req_id, future))
-        return self._batch_result(body)
+        params = {"site": site, "day": day, "include_scores": include_scores}
+        request = {
+            "method": "query_trace",
+            "params": params,
+            "stream": True,
+            "chunk": chunk,
+            "frames_follow": True,
+        }
+        body = await self._exchange(
+            request, itertools.chain(parts, [{"end": True}])
+        )
+        return decode_batch(body)
 
     async def pipeline_queries(
         self, site: str, frames, day: float, *, depth: int = 32
@@ -1154,58 +1095,3 @@ class AsyncServiceClient:
         return list(
             await asyncio.gather(*(one(row.tolist()) for row in frames))
         )
-
-    async def warm(self, sites=None) -> List[str]:
-        params = {} if sites is None else {"sites": list(sites)}
-        return list((await self.call("warm", params))["warmed"])
-
-    async def sites(self) -> List[str]:
-        return (await self.call("sites"))["sites"]
-
-    async def health(self) -> Dict[str, Any]:
-        return await self.call("health")
-
-    async def stats(self) -> Dict[str, Any]:
-        return await self.call("stats")
-
-    # Same wrapper-per-wire-method surface as the sync ServiceClient
-    # (RL-W02 parity): code written against one client runs against the
-    # other by swapping awaits in.
-    async def update(
-        self, site: str, day: float, *, cold: str = "raise"
-    ) -> Dict[str, Any]:
-        return await self.call(
-            "update", {"site": site, "day": day, "cold": cold}
-        )
-
-    async def commission(self, site: str, day: float) -> Dict[str, Any]:
-        return await self.call("commission", {"site": site, "day": day})
-
-    async def staleness(self, site: str, day: float) -> Optional[float]:
-        body = await self.call("staleness", {"site": site, "day": day})
-        return body["staleness"]
-
-    async def drift(
-        self, site: str, day: float, frames: int = 32
-    ) -> Optional[Dict[str, float]]:
-        """Measured drift reading for ``site`` at ``day`` (None when cold)."""
-        body = await self.call(
-            "drift", {"site": site, "day": day, "frames": frames}
-        )
-        return body.get("drift")
-
-    async def scrub(self, sites=None) -> Dict[str, Any]:
-        """Run one anti-entropy scrub pass on a sharded backend."""
-        params = {} if sites is None else {"sites": list(sites)}
-        return await self.call("scrub", params)
-
-    async def site_summary(self, site: str) -> Dict[str, Any]:
-        return await self.call("site_summary", {"site": site})
-
-    async def summary(self) -> List[Dict[str, Any]]:
-        return (await self.call("summary"))["sites"]
-
-    async def resize(self, shards: int) -> Dict[str, Any]:
-        """Resize a sharded backend to ``shards`` workers (moved sites in
-        the returned body). Non-idempotent: never auto-retried."""
-        return await self.call("resize", {"shards": shards})

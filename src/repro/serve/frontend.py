@@ -1,4 +1,9 @@
-"""The sync wire client, stdlib only.
+"""The sync wire client, and the one client surface both clients share.
+
+:class:`ClientSurface` holds each wire method's client wrapper, written
+once: :class:`ServiceClient` and :class:`~repro.serve.aio.
+AsyncServiceClient` inherit it, so a new wire method in
+:data:`~repro.serve.protocol.METHODS` gets its one wrapper there.
 
 :class:`ServiceClient` talks to the one wire server,
 :class:`~repro.serve.aio.AioFrontend`, over any of the transports that
@@ -42,7 +47,8 @@ import socket
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from operator import itemgetter
+from typing import Any, Callable, Dict, Iterable, Optional, Sequence, Tuple, Union
 from urllib.parse import urlsplit
 
 import numpy as np
@@ -57,10 +63,14 @@ from repro.serve.protocol import (
 from repro.sim.trace import LiveTrace
 
 __all__ = [
+    "ClientSurface",
     "RemoteBatchResult",
     "RemoteMatchResult",
     "ServiceClient",
 ]
+
+#: Decodes one answer body into what a client wrapper returns.
+Decoder = Callable[[Dict[str, Any]], Any]
 
 
 @dataclass(frozen=True)
@@ -99,6 +109,188 @@ class RemoteBatchResult:
     @property
     def frame_count(self) -> int:
         return int(self.cells.shape[0])
+
+
+def parse_address(
+    address: str, schemes: Sequence[str]
+) -> Tuple[str, Tuple[Any, ...]]:
+    """``(scheme, target)`` of a client address.
+
+    ``target`` is ``(host, port)`` for ``http://`` and ``tcp://`` and
+    ``(path,)`` for ``unix://``. ``schemes`` are the ones the caller
+    speaks; any other scheme, or an address missing its port or path,
+    raises ``ValueError``.
+    """
+    parts = urlsplit(address)
+    scheme = parts.scheme
+    if scheme not in schemes:
+        accepted = ", ".join(f"{name}://" for name in schemes)
+        raise ValueError(f"unsupported address {address!r} (use {accepted})")
+    if scheme == "unix":
+        path = parts.path or parts.netloc
+        if not path:
+            raise ValueError(
+                f"unix address must be unix:///path, got {address!r}"
+            )
+        return scheme, (path,)
+    if parts.hostname is None or parts.port is None:
+        raise ValueError(
+            f"{scheme} address must be {scheme}://host:port, got {address!r}"
+        )
+    return scheme, (parts.hostname, parts.port)
+
+
+def checked_body(status: int, body: Dict[str, Any]) -> Dict[str, Any]:
+    """``body`` of a successful answer; an error answer re-raises as the
+    exception type the in-process service would have raised."""
+    if status >= 400:
+        error = ERROR_TYPES.get(body.get("error", ""), RuntimeError)
+        raise error(body.get("message", f"server returned {status}"))
+    return body
+
+
+def decode_match(body: Dict[str, Any]) -> RemoteMatchResult:
+    """A ``query`` answer body as a :class:`RemoteMatchResult`."""
+    return RemoteMatchResult(
+        cell=int(body["cell"]),
+        position=(body["position"][0], body["position"][1]),
+        score=float(body["score"]),
+        stale=bool(body.get("stale", False)),
+    )
+
+
+def decode_batch(body: Dict[str, Any]) -> RemoteBatchResult:
+    """A ``query_batch``/``query_trace`` answer body as a
+    :class:`RemoteBatchResult`."""
+    return RemoteBatchResult(
+        cells=np.asarray(body["cells"], dtype=int),
+        positions=np.asarray(body["positions"], dtype=float),
+        scores=(
+            np.asarray(body["scores"], dtype=float)
+            if "scores" in body
+            else None
+        ),
+        stale=bool(body.get("stale", False)),
+    )
+
+
+def trace_frames(
+    trace: Union[LiveTrace, np.ndarray], day: Optional[float]
+) -> Tuple[Any, float]:
+    """``(frames, day)`` of a live trace (its own day) or of a frames
+    array at ``day``."""
+    if isinstance(trace, LiveTrace):
+        return trace.rss, trace.day
+    if day is None:
+        raise ValueError("day is required when trace is a frames array")
+    return trace, day
+
+
+def _sites_params(sites: Optional[Iterable[str]]) -> Dict[str, Any]:
+    return {} if sites is None else {"sites": list(sites)}
+
+
+class ClientSurface:
+    """The wire-method wrappers, written once for both clients.
+
+    Each wrapper builds its method's params, names the decoder of the
+    answer body, and returns ``self._invoke(method, params, decode)``.
+    :class:`ServiceClient` calls and decodes in place, so there a wrapper
+    returns the decoded answer; :class:`~repro.serve.aio.
+    AsyncServiceClient` invokes with a coroutine, so there the same
+    wrapper returns an awaitable of it. Return annotations are left off
+    for that reason; each docstring names the decoded answer.
+    """
+
+    def _invoke(self, method: str, params: Dict[str, Any], decode: Decoder):
+        raise NotImplementedError
+
+    def query(self, site: str, rss: Sequence[float], day: float):
+        """One frame's :class:`RemoteMatchResult`."""
+        params = {"site": site, "rss": np.asarray(rss).tolist(), "day": day}
+        return self._invoke("query", params, decode_match)
+
+    def _batch(
+        self, method: str, site: str, frames, day: float, include_scores: bool
+    ):
+        params = {
+            "site": site,
+            "frames": np.asarray(frames).tolist(),
+            "day": day,
+            "include_scores": include_scores,
+        }
+        return self._invoke(method, params, decode_batch)
+
+    def query_batch(
+        self, site: str, frames, day: float, *, include_scores: bool = False
+    ):
+        """Every frame's answer as one :class:`RemoteBatchResult`."""
+        return self._batch("query_batch", site, frames, day, include_scores)
+
+    def query_trace(
+        self,
+        site: str,
+        trace: Union[LiveTrace, np.ndarray],
+        day: Optional[float] = None,
+        *,
+        include_scores: bool = False,
+    ):
+        """A live trace (its own day) or a frames array at ``day``, as
+        one :class:`RemoteBatchResult`."""
+        frames, day = trace_frames(trace, day)
+        return self._batch("query_trace", site, frames, day, include_scores)
+
+    def site_summary(self, site: str):
+        """The site's status record (a dict)."""
+        return self._invoke("site_summary", {"site": site}, dict)
+
+    def summary(self):
+        """Every site's status record (a list of dicts)."""
+        return self._invoke("summary", {}, itemgetter("sites"))
+
+    def sites(self):
+        """The registered site names."""
+        return self._invoke("sites", {}, itemgetter("sites"))
+
+    def warm(self, sites: Optional[Iterable[str]] = None):
+        """Warm ``sites`` (default: all); the warmed names."""
+        return self._invoke("warm", _sites_params(sites), itemgetter("warmed"))
+
+    def update(self, site: str, day: float, *, cold: str = "raise"):
+        """The update report (a dict). Never auto-retried."""
+        params = {"site": site, "day": day, "cold": cold}
+        return self._invoke("update", params, dict)
+
+    def commission(self, site: str, day: float):
+        """Commission a cold site (a dict). Never auto-retried."""
+        return self._invoke("commission", {"site": site, "day": day}, dict)
+
+    def staleness(self, site: str, day: float):
+        """Days since the epoch serving ``day`` (None when cold)."""
+        params = {"site": site, "day": day}
+        return self._invoke("staleness", params, itemgetter("staleness"))
+
+    def stats(self):
+        """The service's query counters (a dict)."""
+        return self._invoke("stats", {}, dict)
+
+    def health(self):
+        """The liveness report (a dict)."""
+        return self._invoke("health", {}, dict)
+
+    def resize(self, shards: int):
+        """Resize a sharded backend (moved sites in the dict). Never
+        auto-retried."""
+        return self._invoke("resize", {"shards": shards}, dict)
+
+    def drift(self, site: str, day: float, frames: int = 32):
+        """Measured drift at ``day`` (a dict; None when cold)."""
+        params = {"site": site, "day": day, "frames": frames}
+        return self._invoke("drift", params, itemgetter("drift"))
+
+    def scrub(self, sites: Optional[Iterable[str]] = None):
+        """One anti-entropy scrub pass on a sharded backend (a dict)."""
+        return self._invoke("scrub", _sites_params(sites), dict)
 
 
 class _HttpTransport:
@@ -221,7 +413,15 @@ class _TcpTransport(_LineTransport):
         return sock
 
 
-class ServiceClient:
+#: Transport class per address scheme; each takes ``(*target, timeout)``.
+_TRANSPORTS: Dict[str, Callable[..., Any]] = {
+    "http": _HttpTransport,
+    "tcp": _TcpTransport,
+    "unix": _UnixTransport,
+}
+
+
+class ServiceClient(ClientSurface):
     """Client for the wire server; mirrors the in-process contract.
 
     ``address`` is ``"http://host:port"``, ``"tcp://host:port"`` (NDJSON
@@ -276,33 +476,8 @@ class ServiceClient:
             jitter_seed if jitter_seed is not None else os.urandom(8)
         )
         self.address = str(address)
-        parts = urlsplit(self.address)
-        if parts.scheme == "http":
-            if parts.hostname is None or parts.port is None:
-                raise ValueError(
-                    f"http address must be http://host:port, got {address!r}"
-                )
-            self._transport = _HttpTransport(
-                parts.hostname, parts.port, timeout
-            )
-        elif parts.scheme == "tcp":
-            if parts.hostname is None or parts.port is None:
-                raise ValueError(
-                    f"tcp address must be tcp://host:port, got {address!r}"
-                )
-            self._transport = _TcpTransport(parts.hostname, parts.port, timeout)
-        elif parts.scheme == "unix":
-            path = parts.path or parts.netloc
-            if not path:
-                raise ValueError(
-                    f"unix address must be unix:///path, got {address!r}"
-                )
-            self._transport = _UnixTransport(path, timeout)
-        else:
-            raise ValueError(
-                f"unsupported address {address!r} "
-                "(use http://, tcp://, or unix://)"
-            )
+        scheme, target = parse_address(self.address, tuple(_TRANSPORTS))
+        self._transport = _TRANSPORTS[scheme](*target, timeout)
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -343,10 +518,7 @@ class ServiceClient:
                 if not idempotent:
                     raise
                 continue
-            if status >= 400:
-                error = ERROR_TYPES.get(body.get("error", ""), RuntimeError)
-                raise error(body.get("message", f"server returned {status}"))
-            return body
+            return checked_body(status, body)
         raise ServiceUnavailable(
             f"{method} failed after {attempts} attempt(s) to {self.address}"
         ) from last_error
@@ -360,113 +532,5 @@ class ServiceClient:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    # ------------------------------------------------------------------
-    # the service surface
-    # ------------------------------------------------------------------
-    def query(
-        self, site: str, rss: Sequence[float], day: float
-    ) -> RemoteMatchResult:
-        body = self.call(
-            "query",
-            {"site": site, "rss": np.asarray(rss).tolist(), "day": day},
-        )
-        return RemoteMatchResult(
-            cell=int(body["cell"]),
-            position=(body["position"][0], body["position"][1]),
-            score=float(body["score"]),
-            stale=bool(body.get("stale", False)),
-        )
-
-    def _batch(
-        self, method: str, site: str, frames, day: float, include_scores: bool
-    ) -> RemoteBatchResult:
-        body = self.call(
-            method,
-            {
-                "site": site,
-                "frames": np.asarray(frames).tolist(),
-                "day": day,
-                "include_scores": include_scores,
-            },
-        )
-        return RemoteBatchResult(
-            cells=np.asarray(body["cells"], dtype=int),
-            positions=np.asarray(body["positions"], dtype=float),
-            scores=(
-                np.asarray(body["scores"], dtype=float)
-                if "scores" in body
-                else None
-            ),
-            stale=bool(body.get("stale", False)),
-        )
-
-    def query_batch(
-        self, site: str, frames, day: float, *, include_scores: bool = False
-    ) -> RemoteBatchResult:
-        return self._batch("query_batch", site, frames, day, include_scores)
-
-    def query_trace(
-        self,
-        site: str,
-        trace: Union[LiveTrace, np.ndarray],
-        day: Optional[float] = None,
-        *,
-        include_scores: bool = False,
-    ) -> RemoteBatchResult:
-        """Localize a live trace (its own day) or a frames array at ``day``."""
-        if isinstance(trace, LiveTrace):
-            frames, day = trace.rss, trace.day
-        elif day is None:
-            raise ValueError("day is required when trace is a frames array")
-        else:
-            frames = trace
-        return self._batch("query_trace", site, frames, day, include_scores)
-
-    def warm(self, sites: Optional[Iterable[str]] = None) -> List[str]:
-        params = {} if sites is None else {"sites": list(sites)}
-        return list(self.call("warm", params)["warmed"])
-
-    def update(self, site: str, day: float, *, cold: str = "raise") -> Dict:
-        return self.call("update", {"site": site, "day": day, "cold": cold})
-
-    def commission(self, site: str, day: float) -> Dict:
-        return self.call("commission", {"site": site, "day": day})
-
-    def staleness(self, site: str, day: float) -> Optional[float]:
-        return self.call("staleness", {"site": site, "day": day})["staleness"]
-
-    def drift(
-        self, site: str, day: float, frames: int = 32
-    ) -> Optional[Dict[str, float]]:
-        """Measured drift reading for ``site`` at ``day`` (None when cold)."""
-        body = self.call(
-            "drift", {"site": site, "day": day, "frames": frames}
-        )
-        return body.get("drift")
-
-    def scrub(
-        self, sites: Optional[Iterable[str]] = None
-    ) -> Dict[str, Any]:
-        """Run one anti-entropy scrub pass on a sharded backend."""
-        params = {} if sites is None else {"sites": list(sites)}
-        return self.call("scrub", params)
-
-    def site_summary(self, site: str) -> Dict[str, Any]:
-        return self.call("site_summary", {"site": site})
-
-    def summary(self) -> List[Dict[str, Any]]:
-        return self.call("summary")["sites"]
-
-    def sites(self) -> List[str]:
-        return self.call("sites")["sites"]
-
-    def stats(self) -> Dict[str, Any]:
-        return self.call("stats")
-
-    def health(self) -> Dict[str, Any]:
-        return self.call("health")
-
-    def resize(self, shards: int) -> Dict[str, Any]:
-        """Resize a sharded backend to ``shards`` workers (moved sites in
-        the returned body). Non-idempotent: never auto-retried."""
-        return self.call("resize", {"shards": shards})
+    def _invoke(self, method: str, params: Dict[str, Any], decode: Decoder):
+        return decode(self.call(method, params))

@@ -552,9 +552,11 @@ def _handle_drift(backend: Any, params: Dict[str, Any]) -> Dict[str, Any]:
     if drift is None:
         raise RuntimeError("this backend does not measure drift")
     reading = drift(str(site), day, frames)
-    if reading is None:
-        return {"site": site, "day": day, "drift": None}
-    return {"drift": dict(reading)}
+    return {
+        "site": site,
+        "day": day,
+        "drift": None if reading is None else dict(reading),
+    }
 
 
 def _handle_scrub(backend: Any, params: Dict[str, Any]) -> Dict[str, Any]:

@@ -151,7 +151,6 @@ class TestMainInProcess:
             "RL-C02",
             "RL-C03",
             "RL-W01",
-            "RL-W02",
         ):
             assert rule_id in out
 

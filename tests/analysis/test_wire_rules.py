@@ -201,79 +201,3 @@ class TestHandlerErrorContract:
             self.RULE,
         )
         assert [f.key for f in findings] == ["undeclared-status:query:404"]
-
-
-class TestClientSurfaceParity:
-    RULE = "RL-W02"
-
-    def test_full_parity_passes(self):
-        files = {
-            "serve/protocol.py": GOOD_PROTOCOL,
-            "serve/frontend.py": """
-            class ServiceClient:
-                def query(self, site, rss, day):
-                    pass
-
-                def stats(self):
-                    pass
-            """,
-            "serve/aio.py": """
-            class AsyncServiceClient:
-                async def query(self, site, rss, day):
-                    pass
-
-                async def stats(self):
-                    pass
-            """,
-        }
-        assert findings_for(files, self.RULE) == []
-
-    def test_missing_wrapper_flagged_per_client(self):
-        files = {
-            "serve/protocol.py": GOOD_PROTOCOL,
-            "serve/frontend.py": """
-            class ServiceClient:
-                def query(self, site, rss, day):
-                    pass
-            """,
-            "serve/aio.py": """
-            class AsyncServiceClient:
-                async def query(self, site, rss, day):
-                    pass
-            """,
-        }
-        keys = {f.key for f in findings_for(files, self.RULE)}
-        assert keys == {
-            "AsyncServiceClient:stats",
-            "ServiceClient:stats",
-        }
-
-    def test_wire_exempt_tuple_passes(self):
-        files = {
-            "serve/protocol.py": GOOD_PROTOCOL,
-            "serve/frontend.py": """
-            class ServiceClient:
-                _WIRE_EXEMPT = ("stats",)
-
-                def query(self, site, rss, day):
-                    pass
-            """,
-        }
-        assert findings_for(files, self.RULE) == []
-
-    def test_stale_exempt_entry_flagged(self):
-        files = {
-            "serve/protocol.py": GOOD_PROTOCOL,
-            "serve/frontend.py": """
-            class ServiceClient:
-                _WIRE_EXEMPT = ("stats",)
-
-                def query(self, site, rss, day):
-                    pass
-
-                def stats(self):
-                    pass
-            """,
-        }
-        keys = [f.key for f in findings_for(files, self.RULE)]
-        assert keys == ["ServiceClient:stale-exempt:stats"]

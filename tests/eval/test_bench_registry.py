@@ -80,18 +80,11 @@ def test_smoke_failures_skips_absent_sections():
 def test_smoke_failures_surface_section_gates():
     # A loadgen record violating the determinism gate must be reported
     # through the aggregate registry path.
-    report = {
-        "loadgen": {
-            "plan_bit_identical": False,
-            "saturation": {},
-            "closed_loop": None,
-            "perturbation": None,
-            "soak": None,
-        }
-    }
+    report = {"loadgen": dict(_passing_loadgen(), plan_bit_identical=False)}
     failures = smoke_failures(report)
-    assert list(failures) == ["loadgen"]
-    assert any("bit-identical" in failure for failure in failures["loadgen"])
+    assert failures == {
+        "loadgen": ["loadgen: same-seed load plans are not bit-identical"]
+    }
 
 
 SERVING_GATES = ["frontend", "frontend_async", "resilience", "trust"]

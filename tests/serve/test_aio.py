@@ -8,6 +8,7 @@ all bit-identical to the in-process service.
 """
 
 import asyncio
+import gc
 import json
 import socket
 import threading
@@ -698,6 +699,44 @@ class TestInlineAnswerPath:
         assert (answer["id"], answer["status"]) == (1, 200)
         assert answer["body"]["cell"] == reference.cell
         assert answer["body"]["score"] == reference.scores[reference.cell]
+
+
+class TestFailedSend:
+    """A request whose send fails leaves no pending id behind, so
+    ``close()`` has no orphan future to fail unobserved."""
+
+    @pytest.mark.parametrize("failing_write", [1, 2], ids=["call", "stream"])
+    def test_failed_send_leaves_nothing_pending(
+        self, frontend, traces, failing_write
+    ):
+        async def scenario():
+            reports = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: reports.append(context)
+            )
+            client = AsyncServiceClient(frontend.address)
+            await client.connect()
+            writes = []
+
+            def write(data):
+                writes.append(data)
+                if len(writes) == failing_write:
+                    raise ConnectionResetError("injected")
+
+            client._writer.write = write
+            with pytest.raises(ConnectionResetError):
+                if failing_write == 1:
+                    await client.health()
+                else:
+                    await client.query_trace("hq", traces["hq"], chunk=2)
+            pending = list(client._pending)  # ids only: no future kept
+            await client.close()
+            gc.collect()
+            return pending, reports
+
+        pending, reports = run(scenario())
+        assert pending == []
+        assert reports == []
 
 
 class TestAioServerBehavior:

@@ -6,7 +6,9 @@ socket (``unix://``) and the same TCP port (``tcp://``).
 """
 
 import asyncio
+import dataclasses
 import json
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 import pytest
@@ -15,9 +17,12 @@ from repro.serve import (
     AioFrontend,
     AsyncServiceClient,
     LocalizationService,
+    RemoteBatchResult,
+    RemoteMatchResult,
     ServiceClient,
 )
 from repro.serve.protocol import (
+    ERROR_TYPES,
     GET_METHODS,
     IDEMPOTENT_METHODS,
     METHODS,
@@ -84,16 +89,62 @@ def unix_client(wire_server):
         yield client
 
 
+@pytest.fixture(scope="module")
+def tcp_client(wire_server):
+    with ServiceClient(wire_server.address) as client:
+        yield client
+
+
+class _AsyncSurface:
+    """Test-side runner for :class:`AsyncServiceClient`: each wrapper
+    call runs to completion on its own connection and event loop, so
+    one sync test body drives the async client like the sync ones."""
+
+    def __init__(self, address):
+        self.address = address
+
+    def __getattr__(self, name):
+        def run(*args, **kwargs):
+            async def call():
+                async with AsyncServiceClient(self.address) as client:
+                    return await getattr(client, name)(*args, **kwargs)
+
+            return asyncio.run(call())
+
+        return run
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        pass
+
+
+@pytest.fixture(scope="module")
+def async_client(wire_server):
+    return _AsyncSurface(wire_server.address)
+
+
+#: How each client fixture reaches a given frontend.
+CLIENT_FACTORIES = {
+    "http_client": lambda frontend: ServiceClient(frontend.http_address),
+    "unix_client": lambda frontend: ServiceClient(frontend.unix_address),
+    "tcp_client": lambda frontend: ServiceClient(frontend.address),
+    "async_client": lambda frontend: _AsyncSurface(frontend.address),
+}
+
+
 @pytest.fixture(scope="module", autouse=True)
-def _eager_clients(http_client, unix_client):
+def _eager_clients(http_client, unix_client, tcp_client):
     # The tests below select a client lazily via getfixturevalue; force
-    # both module-scoped servers up-front so their listener sockets are
+    # the module-scoped clients up-front so their sockets are
     # baseline state for the per-test leak sanitizer (conftest.py), not
     # mid-test arrivals flagged as leaks on whichever test runs first.
     # One throwaway request per client opens its persistent keep-alive
     # connection (and the server's accepted side) before any baseline.
     http_client.health()
     unix_client.health()
+    tcp_client.health()
     yield
 
 
@@ -128,6 +179,19 @@ class TestProtocolDispatch:
             assert status in (200, 400, 503), method
         assert set(GET_METHODS) <= set(METHODS)
         assert IDEMPOTENT_METHODS <= set(METHODS)
+
+    def test_drift_answers_in_one_shape(self, service):
+        """A warm and a cold site answer ``{"site", "day", "drift"}``."""
+        params = {"site": "hq", "day": 5.0, "frames": 8}
+        for backend in (service, _hq_service(warm=False)):
+            status, body = dispatch(backend, "drift", params)
+            assert status == 200
+            assert list(body) == ["site", "day", "drift"]
+            assert (body["site"], body["day"]) == ("hq", 5.0)
+        assert body["drift"] is None
+        assert dispatch(service, "drift", params)[1]["drift"] == service.drift(
+            "hq", 5.0, frames=8
+        )
 
     def test_health_and_sites(self, service):
         assert dispatch(service, "health", {})[1]["sites"] == 2
@@ -264,8 +328,207 @@ class TestColdUpdateOverTheWire:
         assert system.database.days == [5.0, 35.0]
 
 
-@pytest.mark.parametrize("client_fixture", ["http_client", "unix_client"])
+def _hq_service(warm=True, updates=()):
+    svc = LocalizationService.from_specs(
+        {"hq": "square-3m"}, protocol=PROTOCOL, seed=SEED
+    )
+    if warm:
+        svc.warm()
+    for day in updates:
+        svc.update("hq", day)
+    return svc
+
+
+def _plain(answer):
+    """``answer`` in comparable form: JSON values, columns as lists."""
+    if isinstance(answer, (RemoteMatchResult, type)):
+        return answer
+    if isinstance(answer, RemoteBatchResult):
+        scores = answer.scores
+        return (
+            answer.cells.tolist(),
+            answer.positions.tolist(),
+            None if scores is None else scores.tolist(),
+            answer.stale,
+        )
+    if isinstance(answer, tuple):
+        return tuple(_plain(item) for item in answer)
+    return json.loads(json.dumps(answer))
+
+
+def _outcome(call, *args):
+    """``("answer", plain answer)`` or ``("raised", contract error type)``;
+    any other exception fails the test."""
+    try:
+        answer = call(*args)
+    except tuple(ERROR_TYPES.values()) as error:
+        return "raised", type(error)
+    return "answer", _plain(answer)
+
+
+def _raises(error_type):
+    def call(*args):
+        raise error_type("the wire contract answers 503")
+
+    return call
+
+
+def _match(result):
+    """An in-process ``MatchResult`` as the wire client decodes it."""
+    return RemoteMatchResult(
+        cell=int(result.cell),
+        position=(result.position.x, result.position.y),
+        score=float(result.scores[result.cell]),
+    )
+
+
+def _columns(result):
+    """An in-process ``BatchMatchResult`` with its scores, as the wire
+    client decodes it."""
+    return RemoteBatchResult(
+        cells=np.asarray(result.cells),
+        positions=np.asarray(result.positions),
+        scores=np.asarray(result.scores),
+    )
+
+
+def _update_answer(service, traces):
+    report = service.update("hq", 10.0)
+    return {
+        "site": "hq",
+        "day": 10.0,
+        "action": "updated",
+        "samples_taken": report.samples_taken,
+        "seconds_spent": report.seconds_spent,
+        "full_survey_seconds": report.full_survey_seconds,
+        "savings_factor": report.savings_factor,
+    }
+
+
+def _wire_commission(client, traces):
+    """Commission a cold site, then again: the second is a contract error."""
+    return client.commission("hq", 5.0), _outcome(client.commission, "hq", 6.0)
+
+
+def _local_commission(service, traces):
+    service.commission("hq", 5.0)
+    ack = {"site": "hq", "day": 5.0, "action": "commissioned"}
+    return ack, _outcome(service.commission, "hq", 6.0)
+
+
+class SurfaceCase(NamedTuple):
+    """One wire method: its client call, the in-process service's answer
+    in the client's shape, and the fresh service it changes (if any)."""
+
+    wire: Callable
+    local: Callable
+    fresh: Optional[Callable] = None
+
+
+#: One case per ``METHODS`` entry, in its order.
+SURFACE_CASES = {
+    "query": SurfaceCase(
+        lambda c, t: c.query("hq", t["hq"].rss[0], 0.0),
+        lambda s, t: _match(s.query("hq", t["hq"].rss[0], 0.0)),
+    ),
+    "query_batch": SurfaceCase(
+        lambda c, t: c.query_batch(
+            "lab", t["lab"].rss, 0.0, include_scores=True
+        ),
+        lambda s, t: _columns(s.query_batch("lab", t["lab"].rss, 0.0)),
+    ),
+    "query_trace": SurfaceCase(
+        lambda c, t: c.query_trace("hq", t["hq"], include_scores=True),
+        lambda s, t: _columns(s.query_trace("hq", t["hq"])),
+    ),
+    "site_summary": SurfaceCase(
+        lambda c, t: c.site_summary("lab"),
+        lambda s, t: s.site_summary("lab"),
+    ),
+    "summary": SurfaceCase(
+        lambda c, t: c.summary(),
+        lambda s, t: s.summary(),
+    ),
+    "sites": SurfaceCase(
+        lambda c, t: c.sites(),
+        lambda s, t: s.sites(),
+    ),
+    "warm": SurfaceCase(
+        lambda c, t: c.warm(["lab"]),
+        lambda s, t: s.warm(["lab"]),
+    ),
+    "update": SurfaceCase(
+        lambda c, t: c.update("hq", 10.0),
+        _update_answer,
+        fresh=_hq_service,
+    ),
+    "commission": SurfaceCase(
+        _wire_commission,
+        _local_commission,
+        fresh=lambda: _hq_service(warm=False),
+    ),
+    "staleness": SurfaceCase(
+        lambda c, t: c.staleness("hq", 12.0),
+        lambda s, t: s.staleness("hq", 12.0),
+        fresh=lambda: _hq_service(updates=[4.0]),  # 8 days, not 12
+    ),
+    "stats": SurfaceCase(
+        lambda c, t: c.stats(),
+        lambda s, t: dataclasses.asdict(s.service_stats()),
+    ),
+    "health": SurfaceCase(
+        lambda c, t: c.health(),
+        lambda s, t: s.health(),
+    ),
+    "resize": SurfaceCase(
+        lambda c, t: c.resize(2),
+        _raises(RuntimeError),  # an unsharded backend cannot resize
+    ),
+    "drift": SurfaceCase(
+        lambda c, t: c.drift("hq", 5.0, frames=8),
+        lambda s, t: s.drift("hq", 5.0, frames=8),
+    ),
+    "scrub": SurfaceCase(
+        lambda c, t: c.scrub(),
+        _raises(RuntimeError),  # an unsharded backend cannot scrub
+    ),
+}
+
+
+def test_surface_cases_name_every_method():
+    assert tuple(SURFACE_CASES) == METHODS
+
+
+@pytest.mark.parametrize("client_fixture", list(CLIENT_FACTORIES))
 class TestWireServiceSurface:
+    @pytest.mark.parametrize("method", METHODS)
+    def test_every_method_answers_as_the_service(
+        self,
+        request,
+        client_fixture,
+        method,
+        service,
+        traces,
+        tmp_path_factory,
+    ):
+        """Each client's wrapper answers as the in-process service does;
+        contract errors arrive as the same type. A state-changing case
+        runs on a fresh service and must leave it as the in-process
+        twin is left."""
+        case = SURFACE_CASES[method]
+        if case.fresh is None:
+            client = request.getfixturevalue(client_fixture)
+            wire = _outcome(case.wire, client, traces)
+            assert wire == _outcome(case.local, service, traces)
+            return
+        served, twin = case.fresh(), case.fresh()
+        path = str(tmp_path_factory.mktemp("sock") / "fresh.sock")
+        with AioFrontend(served, unix_path=path) as frontend:
+            with CLIENT_FACTORIES[client_fixture](frontend) as client:
+                wire = _outcome(case.wire, client, traces)
+        assert wire == _outcome(case.local, twin, traces)
+        assert _plain(served.summary()) == _plain(twin.summary())
+
     def test_sites_and_summary(self, request, client_fixture):
         client = request.getfixturevalue(client_fixture)
         assert client.sites() == ["hq", "lab"]
