@@ -62,60 +62,51 @@ any job count). Example::
 
     tafloc-repro --scenario warehouse fig3 --days 5 45
     tafloc-repro --scenario-file my_site.json --jobs 4 fig5
+
+``serve`` runs with one BLAS thread unless the operator set a BLAS thread
+variable (see :func:`cap_blas_threads`). The cap must be in the
+environment before numpy first loads, so this module imports numpy and
+everything built on it inside the command that needs it.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import signal
 import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
-import numpy as np
+if TYPE_CHECKING:
+    from repro.eval.engine import ExperimentEngine
+    from repro.sim.specs import ScenarioSpec
 
-from repro.core.pipeline import TafLoc
-from repro.eval.costmodel import CostModel, sweep_update_cost
-from repro.eval.engine import ExperimentEngine, cached_scenario
-from repro.eval.experiments import (
-    run_fig3_reconstruction_error,
-    run_fig5_localization,
-    run_intext_drift,
-)
-from repro.eval.reporting import format_cdf_table, format_summary, format_table
-from repro.loadgen import (
-    closed_loop_plan,
-    find_max_sustained_qps,
-    open_loop_plan,
-    run_closed_loop,
-    run_open_loop,
-    run_open_loop_aio,
-)
-from repro.loadgen.driver import expected_answers
-from repro.serve import (
-    AioFrontend,
-    LocalizationService,
-    SchedulerConfig,
-    ServiceClient,
-    ShardedService,
-    SimClock,
-    UpdateScheduler,
-)
-from repro.sim.collector import RssCollector
-from repro.sim.specs import (
-    ScenarioSpec,
-    build_deployment,
-    build_scenario,
-    get_scenario_spec,
-    list_scenarios,
-)
-from repro.util.rng import task_key
+#: The variables that size the thread pool of the BLAS numpy loads
+#: (OpenBLAS, an OpenMP build, MKL).
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def cap_blas_threads() -> None:
+    """Set every BLAS thread variable to 1 unless the operator set any.
+
+    The server's update is a chain of small GEMMs: a second BLAS thread
+    buys it no wall time, but doubles its CPU and takes the core the event
+    loop and a neighbouring shard worker need. A fixed seed gives the same
+    bits at any thread count. Forked shard workers inherit the cap. It has
+    no effect once numpy is loaded.
+    """
+    if not any(name in os.environ for name in BLAS_THREAD_VARIABLES):
+        for name in BLAS_THREAD_VARIABLES:
+            os.environ[name] = "1"
 
 
 def _spec(args: argparse.Namespace) -> ScenarioSpec:
     """Resolve the global --scenario / --scenario-file selection."""
+    from repro.sim.specs import ScenarioSpec, get_scenario_spec
+
     if args.scenario_file:
         return ScenarioSpec.from_file(args.scenario_file)
     return get_scenario_spec(args.scenario)
@@ -129,10 +120,19 @@ def _sub_seed(seed: int, *labels) -> int:
     sweeping adjacent ``--seed`` values made one run's trace collector
     collide with the next run's system collector.
     """
+    from repro.util.rng import task_key
+
     return task_key(seed, "cli", *labels)
 
 
 def _cmd_quickstart(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from repro.core.pipeline import TafLoc
+    from repro.eval.reporting import format_summary
+    from repro.sim.collector import RssCollector
+    from repro.sim.specs import build_scenario
+
     scenario = build_scenario(_spec(args), seed=args.seed)
     system = TafLoc(
         RssCollector(scenario, seed=_sub_seed(args.seed, "quickstart-system"))
@@ -164,10 +164,15 @@ def _cmd_quickstart(args: argparse.Namespace) -> int:
 
 
 def _engine(args: argparse.Namespace) -> ExperimentEngine:
+    from repro.eval.engine import ExperimentEngine
+
     return ExperimentEngine(jobs=args.jobs)
 
 
 def _cmd_drift(args: argparse.Namespace) -> int:
+    from repro.eval.experiments import run_intext_drift
+    from repro.eval.reporting import format_table
+
     results = run_intext_drift(
         days=tuple(args.days), seeds=tuple(range(args.rooms)),
         scenario_spec=_spec(args), engine=_engine(args),
@@ -185,6 +190,11 @@ def _cmd_drift(args: argparse.Namespace) -> int:
 
 
 def _cmd_fig3(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from repro.eval.experiments import run_fig3_reconstruction_error
+    from repro.eval.reporting import format_cdf_table, format_table
+
     results = run_fig3_reconstruction_error(
         days=tuple(float(d) for d in args.days), seed=args.seed,
         scenario_spec=_spec(args), engine=_engine(args),
@@ -223,6 +233,9 @@ def _cmd_fig3(args: argparse.Namespace) -> int:
 def _cmd_fig4(args: argparse.Namespace) -> int:
     # Fig. 4 is the labor cost model (geometry only); the scenario supplies
     # its grid resolution so the sweep matches the selected environment.
+    from repro.eval.costmodel import CostModel, sweep_update_cost
+    from repro.eval.reporting import format_table
+
     model = CostModel(cell_size_m=_spec(args).geometry.cell_size_m)
     rows_data = sweep_update_cost(
         tuple(float(e) for e in args.edges), model=model
@@ -250,6 +263,11 @@ def _cmd_fig4(args: argparse.Namespace) -> int:
 
 
 def _cmd_fig5(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from repro.eval.experiments import run_fig5_localization
+    from repro.eval.reporting import format_cdf_table, format_table
+
     result = run_fig5_localization(
         day=args.day, seed=args.seed, scenario_spec=_spec(args),
         engine=_engine(args),
@@ -279,6 +297,8 @@ def _serve_specs(args: argparse.Namespace) -> Dict[str, ScenarioSpec]:
     Without ``--sites``, the global ``--scenario`` selection is served (so
     ``--scenario warehouse serve`` does what it says).
     """
+    from repro.sim.specs import ScenarioSpec, get_scenario_spec
+
     specs: Dict[str, ScenarioSpec] = {}
     if args.scenario_file:
         spec = ScenarioSpec.from_file(args.scenario_file)
@@ -290,6 +310,15 @@ def _serve_specs(args: argparse.Namespace) -> Dict[str, ScenarioSpec]:
 
 def _serve_listen(args: argparse.Namespace, specs: Dict[str, ScenarioSpec]) -> int:
     """The ``serve --listen`` path: the wire server over the site fleet."""
+    from repro.serve import (
+        AioFrontend,
+        LocalizationService,
+        SchedulerConfig,
+        ShardedService,
+        SimClock,
+        UpdateScheduler,
+    )
+
     replicas = getattr(args, "replicas", 1)
     snapshot_dir = getattr(args, "snapshot_dir", None)
     snapshot_keep = getattr(args, "snapshot_keep", None)
@@ -432,6 +461,12 @@ def _raise_interrupt(signum, frame) -> None:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from repro.eval.reporting import format_table
+    from repro.serve import LocalizationService
+    from repro.sim.collector import RssCollector
+
     specs = _serve_specs(args)
     if args.listen or args.unix_socket:
         return _serve_listen(args, specs)
@@ -502,6 +537,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from repro.eval.engine import cached_scenario
+    from repro.eval.reporting import format_table
+    from repro.serve import LocalizationService, ServiceClient
+    from repro.sim.collector import RssCollector
+    from repro.sim.specs import build_scenario
+
     spec = _spec(args)
     scenario = cached_scenario(spec, build_scenario)
     if args.cells:
@@ -572,6 +615,27 @@ class _InprocTarget:
 
 
 def _cmd_loadgen(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from repro.eval.engine import cached_scenario
+    from repro.loadgen import (
+        closed_loop_plan,
+        find_max_sustained_qps,
+        open_loop_plan,
+        run_closed_loop,
+        run_open_loop,
+        run_open_loop_aio,
+    )
+    from repro.loadgen.driver import expected_answers
+    from repro.serve import (
+        AioFrontend,
+        LocalizationService,
+        ServiceClient,
+        ShardedService,
+    )
+    from repro.sim.collector import RssCollector
+    from repro.sim.specs import build_scenario
+
     spec = _spec(args)
     site_names = [f"site-{index:04d}" for index in range(args.sites)]
     specs = {name: spec for name in site_names}
@@ -726,6 +790,9 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
 
 
 def _cmd_floorplan(args: argparse.Namespace) -> int:
+    from repro.eval.reporting import format_summary
+    from repro.sim.specs import build_deployment
+
     spec = _spec(args)
     deployment = build_deployment(spec.geometry)
     print(
@@ -743,6 +810,9 @@ def _cmd_floorplan(args: argparse.Namespace) -> int:
 
 
 def _cmd_scenarios(args: argparse.Namespace) -> int:
+    from repro.eval.reporting import format_table
+    from repro.sim.specs import build_deployment, list_scenarios
+
     rows = []
     for name, spec in list_scenarios().items():
         deployment = build_deployment(spec.geometry)
@@ -1099,6 +1169,8 @@ _COMMANDS = {
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    if args.command == "serve":
+        cap_blas_threads()
     return _COMMANDS[args.command](args)
 
 

@@ -26,13 +26,21 @@ Two half-step backends are available (``LoliIrConfig.method``):
   with ``v_p = Rᵀ g_p``; only the similarity term couples rows of ``L``
   (through ``H``), and symmetrically only the continuity term couples rows of
   ``R`` (through ``G``). The per-row blocks are assembled in a handful of
-  GEMMs over cached Gram structure and solved closed-form in one batched
-  ``k×k`` dense solve (collapsing to a *single* shared factorization when the
-  rows are uniform). When a coupling term is active, the same blocks —
-  augmented with the coupling's exact diagonal — become a block-Cholesky
-  preconditioner for a matrix-free CG on the coupled system, which converges
-  in a few iterations because the coupling weights (γ) are small against the
-  per-row curvature.
+  GEMMs over cached Gram structure, **batch last**: a ``(k*k, rows)`` stack,
+  viewed as ``(k, k, rows)``. When a coupling term is active, the same
+  blocks — augmented with the coupling's exact diagonal — become a
+  block-Jacobi preconditioner for a matrix-free CG on the coupled system,
+  which converges in a few iterations because the coupling weights (γ) are
+  small against the per-row curvature. The CG iterate is a ``(k, rows)``
+  array, so every block product is one contiguous ``einsum`` over the rows,
+  and the preconditioner's block inverses come from one batched Cholesky
+  factorization and a ``k``-step vectorized inversion of its factor
+  (:func:`_spd_block_inverse`): no LAPACK or BLAS call per ``k×k`` block.
+  The smoothness operators reach the iterate as ``kron(I_k, ·)``, one CSR
+  matvec per application with no transpose copy. Without a coupling term
+  (the objective ablations) the rows are independent and are solved
+  closed-form in one batched ``k×k`` dense solve, collapsing to a *single*
+  shared factorization when the rows are uniform.
 
   The smoothness operators ``G``/``H`` stay ``scipy.sparse`` CSR throughout:
   an application costs ``O(links·pairs)``, and no update densifies them.
@@ -91,12 +99,15 @@ class LoliIrConfig:
             iterate never increases its quadratic, which *is* the full
             objective restricted to that factor, so outer monotonicity holds
             at any inner tolerance.
-        method: Half-step backend: ``"gram"`` (precomputed Gram structure,
-            closed-form ``k×k`` solves, block-Cholesky-preconditioned CG
-            for the coupled half-steps — continuity couples the R-step's
-            cell rows, similarity the L-step's link rows) or ``"cg"`` (the
-            original matrix-free CG, the reference the solver-mode tests
-            cross-validate ``"gram"`` against).
+        method: Half-step backend: ``"gram"`` (precomputed Gram structure;
+            the coupled half-steps — continuity couples the R-step's cell
+            rows, similarity the L-step's link rows — run a block-Jacobi
+            preconditioned CG batch last, with ``(k, k, rows)`` blocks, a
+            ``(k, rows)`` iterate and the block inverses taken from their
+            Cholesky factors; closed-form ``k×k`` solves when no coupling
+            term is active) or ``"cg"`` (the original matrix-free CG, the
+            reference the solver-mode tests cross-validate ``"gram"``
+            against).
         accelerate: Safeguarded extrapolation of the outer loop. The
             alternating map converges linearly with a stable contraction
             ratio (one dominant error direction), so after each sweep the
@@ -290,6 +301,50 @@ def _outer_rows(matrix: np.ndarray) -> np.ndarray:
     return (matrix[:, :, None] * matrix[:, None, :]).reshape(matrix.shape[0], -1)
 
 
+def _repeat_diagonal(operator: csr_array, copies: int) -> csr_array:
+    """``kron(I_copies, operator)`` as CSR, built from ``operator``'s arrays.
+
+    Applied to a C-ordered ``(copies, n)`` array raveled, it multiplies
+    every row by ``operator`` in one CSR matvec: the batch-last CG iterate
+    goes through the smoothness operators with no transpose copy.
+    """
+    rows, columns = operator.shape
+    offsets = np.arange(copies)[:, None]
+    indptr = np.concatenate(
+        ([0], (operator.indptr[1:] + operator.nnz * offsets).ravel())
+    )
+    indices = (operator.indices + columns * offsets).ravel()
+    data = np.tile(operator.data, copies)
+    return csr_array(
+        (data, indices, indptr), shape=(copies * rows, copies * columns)
+    )
+
+
+def _block_products(blocks: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Per-column ``k×k`` products, batch last: ``(k, k, n), (k, n) -> (k, n)``."""
+    return np.einsum("ijn,jn->in", blocks, vectors)
+
+
+def _spd_block_inverse(blocks: np.ndarray) -> np.ndarray:
+    """Inverses of SPD ``k×k`` blocks, batch last: ``(k, k, n) -> (k, k, n)``.
+
+    One batched Cholesky ``P = L Lᵀ``; then ``L⁻¹`` row by row, each row a
+    vectorized forward substitution across the whole batch
+    (``(L⁻¹)_i = (e_i − Σ_{j<i} L_ij (L⁻¹)_j) / L_ii``); then
+    ``P⁻¹ = L⁻ᵀ L⁻¹`` in one contraction. ``k`` steps in all, none of them a
+    per-block LAPACK or BLAS call. A block that is not SPD raises
+    :class:`numpy.linalg.LinAlgError` from the factorization.
+    """
+    factor = np.linalg.cholesky(blocks.transpose(2, 0, 1))
+    factor = np.ascontiguousarray(factor.transpose(1, 2, 0))
+    inverse = np.zeros_like(factor)
+    for i in range(factor.shape[0]):
+        row = -np.einsum("jn,jmn->mn", factor[i, :i], inverse[:i])
+        row[i] += 1.0
+        inverse[i] = row / factor[i, i]
+    return np.einsum("ian,ibn->abn", inverse, inverse)
+
+
 class _CompiledProblem:
     """Per-solve cache of everything the half-step solves touch repeatedly.
 
@@ -303,13 +358,18 @@ class _CompiledProblem:
       assembles its per-row normal-equation blocks and the exact diagonal of
       the coupling terms (for the block-Cholesky CG preconditioner);
     * the observation mask as a float matrix (GEMM operand for the per-row
-      observed Gram ``Rᵀ diag(B_i) R``) and the right-hand-side matrix.
+      observed Gram ``Rᵀ diag(B_i) R``) and the right-hand-side matrix;
+    * ``kron(I_k, ·)`` copies of ``Gᵀ``/``G``/``H``/``Hᵀ``, which apply an
+      operator to every row of a batch-last ``(k, rows)`` CG iterate in one
+      matvec (see :func:`_repeat_diagonal`).
 
     All arrays are cast to the configured dtype so a float32 solve never
     mixes precisions inside the hot loop.
     """
 
-    def __init__(self, problem: LoliIrProblem, config: LoliIrConfig) -> None:
+    def __init__(
+        self, problem: LoliIrProblem, config: LoliIrConfig, rank: int
+    ) -> None:
         dtype = np.dtype(config.dtype)
         self.shape = problem.shape
         self.dtype = dtype
@@ -338,6 +398,8 @@ class _CompiledProblem:
             self._g = problem.continuity_op.astype(dtype, copy=False)
             self._gt = self._g.T.tocsr()
             self._g_sq = self._g.power(2)
+            self._g_gather_rows = _repeat_diagonal(self._gt, rank)
+            self._g_scatter_rows = _repeat_diagonal(self._g, rank)
 
         self.similarity_weights: Optional[np.ndarray] = None
         self.similarity_weights_sq: Optional[np.ndarray] = None
@@ -352,6 +414,8 @@ class _CompiledProblem:
             self._h = problem.similarity_op.astype(dtype, copy=False)
             self._ht = self._h.T.tocsr()
             self._h_sq_t = self._ht.power(2)
+            self._h_gather_rows = _repeat_diagonal(self._h, rank)
+            self._h_scatter_rows = _repeat_diagonal(self._ht, rank)
 
         # d(objective)/dX̂ right-hand side, computed once per solve.
         rhs = self.observed_scaled
@@ -377,23 +441,43 @@ class _CompiledProblem:
         return self._ht @ matrix
 
     # -- Gram-structure applications (the "gram" method) ----------------
+    # The coupled half-steps work batch last: an iterate is a C-ordered
+    # ``(k, rows)`` array and a block stack is ``(k*k, rows)``.
     def g_gather(self, factor: np.ndarray) -> np.ndarray:
         """``Gᵀ @ factor``: per-pair differences of R-factor rows, (P, k)."""
         return self._gt @ factor
 
-    def g_scatter(self, pair_rows: np.ndarray) -> np.ndarray:
-        """``G @ pair_rows``: adjoint scatter onto cell rows, (cells, k)."""
-        return self._g @ pair_rows
+    def g_gather_last(self, iterate: np.ndarray) -> np.ndarray:
+        """``iterate @ G``, batch last: ``(k, cells) -> (k, P)``."""
+        return _rows_through(self._g_gather_rows, iterate)
+
+    def g_scatter_last(self, pairs: np.ndarray) -> np.ndarray:
+        """``pairs @ Gᵀ``, the adjoint scatter: ``(k, P) -> (k, cells)``."""
+        return _rows_through(self._g_scatter_rows, pairs)
+
+    def h_gather_last(self, iterate: np.ndarray) -> np.ndarray:
+        """``iterate @ Hᵀ``, batch last: ``(k, links) -> (k, Q)``."""
+        return _rows_through(self._h_gather_rows, iterate)
+
+    def h_scatter_last(self, pairs: np.ndarray) -> np.ndarray:
+        """``pairs @ H``, the adjoint scatter: ``(k, Q) -> (k, links)``."""
+        return _rows_through(self._h_scatter_rows, pairs)
 
     def g_sq_diag(self, pair_blocks: np.ndarray) -> np.ndarray:
-        """Exact cell-diagonal of the continuity coupling: ``(G∘G) @ S``."""
-        pairs = pair_blocks.shape[0]
-        return self._g_sq @ pair_blocks.reshape(pairs, -1)
+        """Exact cell-diagonal of the continuity coupling, batch last:
+        ``S (G∘G)ᵀ`` for ``S`` of shape ``(k*k, P)``."""
+        return (self._g_sq @ pair_blocks.T).T
 
     def h_sq_diag(self, pair_blocks: np.ndarray) -> np.ndarray:
-        """Exact link-diagonal of the similarity coupling: ``(H∘H)ᵀ @ S``."""
-        pairs = pair_blocks.shape[0]
-        return self._h_sq_t @ pair_blocks.reshape(pairs, -1)
+        """Exact link-diagonal of the similarity coupling, batch last:
+        ``S (H∘H)`` for ``S`` of shape ``(k*k, Q)``."""
+        return (self._h_sq_t @ pair_blocks.T).T
+
+
+def _rows_through(repeated: csr_array, rows: np.ndarray) -> np.ndarray:
+    """Each row of a C-ordered ``rows`` times the operator that a
+    :func:`_repeat_diagonal` matrix repeats, in one matvec."""
+    return (repeated @ rows.ravel()).reshape(rows.shape[0], -1)
 
 
 class LoliIrSolver:
@@ -435,7 +519,7 @@ class LoliIrSolver:
         cfg = self.config
         links, cells = problem.shape
         rank = min(cfg.rank, links, cells)
-        compiled = _CompiledProblem(problem, cfg)
+        compiled = _CompiledProblem(problem, cfg, rank)
 
         warm_pair = None
         if warm_factors is not None and initial is None:
@@ -656,39 +740,42 @@ class LoliIrSolver:
         links = compiled.shape[0]
         k = right.shape[1]
         dtype = compiled.dtype
-        right_outer = _outer_rows(right)  # (cells, k*k)
+        right_outer = _outer_rows(right).T  # (k*k, cells)
 
         shared = cfg.lam * np.eye(k, dtype=dtype)
         if compiled.lrr_target is not None:
             shared = shared + cfg.lrr_weight * (right.T @ right)
-        blocks = cfg.observed_weight * (compiled.mask_float @ right_outer)
-        blocks = blocks + shared.ravel()
+        blocks = cfg.observed_weight * (right_outer @ compiled.mask_float.T)
+        blocks += shared.reshape(-1, 1)
         if compiled.continuity_weights_sq is not None:
             pair_rows = compiled.g_gather(right)  # v_p = Rᵀ g_p, (P, k)
-            blocks = blocks + cfg.continuity_weight * (
-                compiled.continuity_weights_sq @ _outer_rows(pair_rows)
+            blocks += cfg.continuity_weight * (
+                _outer_rows(pair_rows).T @ compiled.continuity_weights_sq.T
             )
-        blocks = blocks.reshape(links, k, k)
-        rhs = compiled.rhs @ right
+        rhs = right.T @ compiled.rhs.T  # (k, links)
 
         if compiled.similarity_weights_sq is None:
-            return _solve_blocks(blocks, rhs), 0
+            row_blocks = blocks.reshape(k, k, links).transpose(2, 0, 1)
+            return _solve_blocks(row_blocks, rhs.T), 0
 
         # Similarity couples link rows: S_q = Σ_j w²_{qj} r_j r_jᵀ.
-        coupling_blocks = (compiled.similarity_weights_sq @ right_outer).reshape(
-            -1, k, k
-        )
+        coupling = right_outer @ compiled.similarity_weights_sq.T  # (k*k, Q)
+        block_stack = blocks.reshape(k, k, links)
+        coupling_stack = coupling.reshape(k, k, -1)
 
         def operator(candidate: np.ndarray) -> np.ndarray:
-            out = (blocks @ candidate[:, :, None])[:, :, 0]
-            pair_rows = compiled.apply_h(candidate)  # (Q, k)
-            weighted = (coupling_blocks @ pair_rows[:, :, None])[:, :, 0]
-            return out + cfg.similarity_weight * compiled.apply_ht(weighted)
+            out = _block_products(block_stack, candidate)
+            pairs = compiled.h_gather_last(candidate)  # (k, Q)
+            weighted = _block_products(coupling_stack, pairs)
+            out += cfg.similarity_weight * compiled.h_scatter_last(weighted)
+            return out
 
         preconditioner_blocks = blocks + cfg.similarity_weight * (
-            compiled.h_sq_diag(coupling_blocks).reshape(links, k, k)
+            compiled.h_sq_diag(coupling)
         )
-        return self._coupled_solve(operator, rhs, preconditioner_blocks, x0=left)
+        return self._coupled_solve(
+            operator, rhs, preconditioner_blocks.reshape(k, k, links), x0=left
+        )
 
     def _solve_right_gram(
         self, compiled: _CompiledProblem, left: np.ndarray, right: np.ndarray
@@ -698,39 +785,42 @@ class LoliIrSolver:
         cells = compiled.shape[1]
         k = left.shape[1]
         dtype = compiled.dtype
-        left_outer = _outer_rows(left)  # (links, k*k)
+        left_outer = _outer_rows(left).T  # (k*k, links)
 
         shared = cfg.lam * np.eye(k, dtype=dtype)
         if compiled.lrr_target is not None:
             shared = shared + cfg.lrr_weight * (left.T @ left)
-        blocks = cfg.observed_weight * (compiled.mask_float.T @ left_outer)
-        blocks = blocks + shared.ravel()
+        blocks = cfg.observed_weight * (left_outer @ compiled.mask_float)
+        blocks += shared.reshape(-1, 1)
         if compiled.similarity_weights_sq is not None:
             pair_rows = compiled.apply_h(left)  # m_q = (H L)_q, (Q, k)
-            blocks = blocks + cfg.similarity_weight * (
-                compiled.similarity_weights_sq.T @ _outer_rows(pair_rows)
+            blocks += cfg.similarity_weight * (
+                _outer_rows(pair_rows).T @ compiled.similarity_weights_sq
             )
-        blocks = blocks.reshape(cells, k, k)
-        rhs = compiled.rhs.T @ left
+        rhs = left.T @ compiled.rhs  # (k, cells)
 
         if compiled.continuity_weights_sq is None:
-            return _solve_blocks(blocks, rhs), 0
+            row_blocks = blocks.reshape(k, k, cells).transpose(2, 0, 1)
+            return _solve_blocks(row_blocks, rhs.T), 0
 
         # Continuity couples cell rows: C_p = Σ_i w²_{ip} ℓ_i ℓ_iᵀ.
-        coupling_blocks = (compiled.continuity_weights_sq.T @ left_outer).reshape(
-            -1, k, k
-        )
+        coupling = left_outer @ compiled.continuity_weights_sq  # (k*k, P)
+        block_stack = blocks.reshape(k, k, cells)
+        coupling_stack = coupling.reshape(k, k, -1)
 
         def operator(candidate: np.ndarray) -> np.ndarray:
-            out = (blocks @ candidate[:, :, None])[:, :, 0]
-            pair_rows = compiled.g_gather(candidate)  # (P, k)
-            weighted = (coupling_blocks @ pair_rows[:, :, None])[:, :, 0]
-            return out + cfg.continuity_weight * compiled.g_scatter(weighted)
+            out = _block_products(block_stack, candidate)
+            pairs = compiled.g_gather_last(candidate)  # (k, P)
+            weighted = _block_products(coupling_stack, pairs)
+            out += cfg.continuity_weight * compiled.g_scatter_last(weighted)
+            return out
 
         preconditioner_blocks = blocks + cfg.continuity_weight * (
-            compiled.g_sq_diag(coupling_blocks).reshape(cells, k, k)
+            compiled.g_sq_diag(coupling)
         )
-        return self._coupled_solve(operator, rhs, preconditioner_blocks, x0=right)
+        return self._coupled_solve(
+            operator, rhs, preconditioner_blocks.reshape(k, k, cells), x0=right
+        )
 
     def _inner_tol(self, rhs: np.ndarray) -> float:
         """Inner tolerance, clamped to the precision floor: float32 cannot
@@ -745,25 +835,28 @@ class LoliIrSolver:
         *,
         x0: np.ndarray,
     ) -> Tuple[np.ndarray, int]:
-        """Block-Cholesky-preconditioned CG for a coupled half-step."""
+        """Block-Cholesky-preconditioned CG for a coupled half-step.
+
+        Batch last: ``rhs`` and the iterate are ``(k, rows)``, the
+        preconditioner blocks ``(k, k, rows)``. ``x0`` and the returned
+        factor are the usual ``(rows, k)``.
+        """
         cfg = self.config
-        chol = np.linalg.cholesky(preconditioner_blocks)
-        chol_inv = np.linalg.inv(chol)  # P⁻¹ = L⁻ᵀ L⁻¹ per block
-        inv_blocks = chol_inv.transpose(0, 2, 1) @ chol_inv
+        inverse_blocks = _spd_block_inverse(preconditioner_blocks)
 
         def preconditioner(residual: np.ndarray) -> np.ndarray:
-            return (inv_blocks @ residual[:, :, None])[:, :, 0]
+            return _block_products(inverse_blocks, residual)
 
         tol = self._inner_tol(rhs)
         result = preconditioned_conjugate_gradient(
             operator,
             rhs,
             preconditioner=preconditioner,
-            x0=x0,
+            x0=np.ascontiguousarray(x0.T),
             tol=tol,
             max_iter=cfg.cg_max_iter,
         )
-        return result.solution, result.iterations
+        return np.ascontiguousarray(result.solution.T), result.iterations
 
     # ------------------------------------------------------------------
     # "cg" method: the original matrix-free half-steps (reference)

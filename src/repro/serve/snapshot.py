@@ -86,8 +86,12 @@ __all__ = [
     "snapshot_state",
 ]
 
-#: On-disk format version; bumped whenever the layout changes shape.
-SNAPSHOT_VERSION = 1
+#: On-disk format version; bumped whenever the layout changes shape, and
+#: whenever the bits a snapshot holds would differ from a fresh build's
+#: (a re-pin of the solver's arithmetic), so an older snapshot is refused
+#: and the site rebuilds cold instead of warming with the old bits.
+#: Version 2: the LoLi-IR half-steps run batch last.
+SNAPSHOT_VERSION = 2
 
 _MAGIC = "tafloc-snapshot"
 

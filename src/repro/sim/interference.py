@@ -118,12 +118,13 @@ class BurstyInterferenceModel:
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count}")
         shape = (count, self.links)
-        hit = self._rng.random(shape) < self.burst_probability
-        magnitudes = self._rng.uniform(*self.magnitude_db, size=shape)
+        # In place on the magnitude draw, in the same draw order: the
+        # offsets are one (count, links) array plus a boolean mask.
+        miss = self._rng.random(shape) >= self.burst_probability
+        offsets = self._rng.uniform(*self.magnitude_db, size=shape)
         if self.direction == "negative":
-            signs = -1.0
-        elif self.direction == "positive":
-            signs = 1.0
-        else:
-            signs = self._rng.choice((-1.0, 1.0), size=shape)
-        return np.where(hit, signs * magnitudes, 0.0)
+            np.negative(offsets, out=offsets)
+        elif self.direction == "both":
+            offsets *= self._rng.choice((-1.0, 1.0), size=shape)
+        np.copyto(offsets, 0.0, where=miss)
+        return offsets

@@ -164,6 +164,31 @@ class TestRejection:
         revived.pipeline("site")
         assert revived.stats.snapshots_rejected == 1
 
+    def test_older_version_is_refused_and_rebuilt_to_fresh_bits(self, tmp_path):
+        """A version-1 snapshot was written before the solver's re-pin, so
+        its epochs are not what this build computes. It is refused, and the
+        site rebuilds cold to exactly a fresh build's bits."""
+        origin = _manager(tmp_path)
+        origin.register("site", "square-3m")
+        origin.pipeline("site")
+        origin.update("site", 5.0)  # a reconstructed epoch in the snapshot
+        path = origin.snapshot_path("site")
+        save_snapshot(path, dataclasses.replace(load_snapshot(path), version=1))
+
+        revived = _manager(tmp_path)
+        revived.register("site", "square-3m")
+        rebuilt = revived.pipeline("site")
+        assert revived.stats.snapshots_rejected == 1
+        assert revived.stats.snapshots_restored == 0
+
+        fresh = SiteManager(protocol=PROTOCOL, seed=SEED, share_pipelines=False)
+        fresh.register("site", "square-3m")
+        twin = fresh.pipeline("site")
+        _assert_epochs_identical(rebuilt, twin)
+        revived.update("site", 5.0)
+        fresh.update("site", 5.0)
+        _assert_epochs_identical(rebuilt, twin)
+
     def test_protocol_mismatch_is_rejected(self, tmp_path):
         self._seed_snapshot(tmp_path)
         other = _manager(

@@ -1,7 +1,8 @@
 """Memory regression tests for the simulator's largest allocations.
 
 The commissioning survey builds one ``(cells, samples, links)`` float64
-stack, and the entry-drift lattice grows by one ``(links, cells)`` array
+stack (plus the interference offsets, where a scenario has them), and
+the entry-drift lattice grows by one ``(links, cells)`` array
 per simulated day. Both set a serving process's resident memory, so both
 are pinned here with :mod:`tracemalloc`, which sees numpy's buffers.
 """
@@ -47,6 +48,28 @@ def test_full_survey_holds_one_sample_stack():
     matrix = result.survey.matrix
     assert matrix.shape == (deployment.link_count, deployment.cell_count)
     assert peak <= 1.25 * stack, f"survey peak is {peak / stack:.2f} stacks"
+
+
+def test_interference_survey_draws_its_offsets_in_place():
+    """``atrium`` adds bursty interference to every survey sample. Its
+    offsets are drawn into one ``(samples, links)`` array plus a mask,
+    next to the survey's own stack (4.80 stacks before they were)."""
+    scenario = build_scenario(get_scenario_spec("atrium"))
+    assert scenario.interference_spec is not None
+    collector = RssCollector(scenario, seed=3)
+    day = 30.0
+    if scenario.entry_drift is not None:
+        scenario.entry_drift.offsets(day)
+        scenario.entry_drift_weights()
+    deployment = scenario.deployment
+    stack = (
+        deployment.cell_count
+        * collector.protocol.samples_per_cell
+        * deployment.link_count
+        * np.dtype(np.float64).itemsize
+    )
+    peak, _, _ = _peak_and_retained(lambda: collector.collect_full_survey(day))
+    assert peak <= 3.0 * stack, f"survey peak is {peak / stack:.2f} stacks"
 
 
 def test_entry_drift_keeps_one_array_per_simulated_day():

@@ -1,11 +1,43 @@
 """Tests for the command-line interface."""
 
 import itertools
+import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.cli import _sub_seed, build_parser, main
+import repro.cli
+from repro.cli import BLAS_THREAD_VARIABLES, _sub_seed, build_parser, main
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+@pytest.fixture(autouse=True)
+def _restore_blas_variables():
+    """In-process ``serve`` runs cap BLAS threads in ``os.environ``; undo it."""
+    saved = {name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES}
+    yield
+    for name, value in saved.items():
+        if value is None:
+            os.environ.pop(name, None)
+        else:
+            os.environ[name] = value
+
+
+def _python(code, **blas):
+    """Run ``code`` in a fresh interpreter with exactly the ``blas`` variables."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
+    env.update(blas)
+    env["PYTHONPATH"] = SRC
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
 
 
 def _proc_stat(pid):
@@ -374,3 +406,65 @@ class TestSubSeeds:
             3, "quickstart-system"
         )
         assert _sub_seed(3, "a") != _sub_seed(3, "b")
+
+
+#: Runs ``serve`` through ``main`` with the command swapped for a probe
+#: that reports what the command would start with.
+_SERVE_PROBE = """
+import json, os, sys
+import repro.cli as cli
+def probe(args):
+    print(json.dumps({
+        "numpy_loaded": "numpy" in sys.modules,
+        "env": {name: os.environ.get(name) for name in cli.BLAS_THREAD_VARIABLES},
+    }))
+    return 0
+cli._COMMANDS["serve"] = probe
+cli.main(["serve"])
+"""
+
+#: One fixed-seed update on a mid-sized site; prints the epoch's digest.
+_EPOCH_DIGEST = """
+import hashlib
+from repro.core.pipeline import TafLoc
+from repro.sim.collector import CollectionProtocol, RssCollector
+from repro.sim.specs import build_scenario
+scenario = build_scenario("square-12m", seed=3)
+protocol = CollectionProtocol(samples_per_cell=3, empty_room_samples=5)
+system = TafLoc(RssCollector(scenario, protocol, seed=1))
+system.commission(day=0.0)
+report = system.update(day=30.0)
+print(hashlib.sha256(report.reconstruction.fingerprint.values.tobytes()).hexdigest())
+"""
+
+
+class TestBlasThreadCap:
+    def test_importing_the_cli_loads_no_numpy(self):
+        assert _python(
+            "import sys, repro.cli; print('numpy' in sys.modules)"
+        ).strip() == "False"
+
+    def test_serve_caps_every_variable_before_numpy_loads(self):
+        seen = json.loads(_python(_SERVE_PROBE))
+        assert seen["numpy_loaded"] is False
+        assert seen["env"] == {name: "1" for name in BLAS_THREAD_VARIABLES}
+
+    def test_serve_leaves_an_operator_set_value_alone(self):
+        seen = json.loads(_python(_SERVE_PROBE, OMP_NUM_THREADS="2"))
+        assert seen["env"] == {
+            "OPENBLAS_NUM_THREADS": None,
+            "OMP_NUM_THREADS": "2",
+            "MKL_NUM_THREADS": None,
+        }
+
+    def test_only_serve_is_capped(self, monkeypatch):
+        for name in BLAS_THREAD_VARIABLES:
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setitem(repro.cli._COMMANDS, "floorplan", lambda args: 0)
+        assert main(["floorplan"]) == 0
+        assert not any(name in os.environ for name in BLAS_THREAD_VARIABLES)
+
+    def test_a_fixed_seed_epoch_is_bit_equal_at_one_and_two_threads(self):
+        one = _python(_EPOCH_DIGEST, OPENBLAS_NUM_THREADS="1")
+        two = _python(_EPOCH_DIGEST, OPENBLAS_NUM_THREADS="2")
+        assert one == two
