@@ -3,9 +3,9 @@
 The objective stacks three priors — rank minimization (property i), the
 low-rank representation anchor (property ii), and the continuity/similarity
 smoothers (property iii). The poster motivates each but publishes no
-ablation; DESIGN.md calls this out as a design-choice experiment. We rerun
-the Fig. 3 workload at a 45-day gap with terms toggled and report the mean
-reconstruction error of each arm.
+ablation, so this is a design-choice experiment (EXPERIMENTS.md, "Figure
+reproductions"). We rerun the Fig. 3 workload at a 45-day gap with terms
+toggled and report the mean reconstruction error of each arm.
 """
 
 import numpy as np

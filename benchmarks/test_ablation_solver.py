@@ -1,9 +1,11 @@
 """Ablation: LoLi-IR convergence behaviour and runtime scaling.
 
-DESIGN.md commits the solver to alternating conjugate-gradient steps with
-a monotone objective; this benchmark records (a) the per-sweep objective
-decrease on a real update instance and (b) wall-time scaling of one update
-as the monitored area (and thus the matrix) grows.
+The solver alternates exact half-step solves (closed-form per-row ``k×k``
+blocks, plus block-Cholesky-preconditioned CG on the coupled half-steps)
+with a monotone objective; this benchmark records (a) the per-sweep
+objective decrease on a real update instance and (b) wall-time scaling of
+one update as the monitored area (and thus the matrix) grows. EXPERIMENTS.md
+says how to run it.
 """
 
 import time

@@ -15,40 +15,31 @@ non-convex jointly but convex in each factor, so LoLi-IR alternates between
 exact solves of the two convex sub-problems; the objective is monotonically
 non-increasing — asserted by the unit tests.
 
-Two half-step backends are available (``LoliIrConfig.method``):
+The key structural observation is that every objective term except one
+decouples **row-wise** in each factor. With ``R`` fixed, link-row ``ℓ_i`` of
+``L`` sees the ``k×k`` normal equations
 
-* ``"gram"`` (default) — the key structural observation is that every
-  objective term except one decouples **row-wise** in each factor. With ``R``
-  fixed, link-row ``ℓ_i`` of ``L`` sees the ``k×k`` normal equations
+    [λI + w_b Rᵀdiag(B_i)R + μ RᵀR + γ_g Σ_p w²_{ip} v_p v_pᵀ] ℓ_i = (rhs R)_i
 
-      [λI + w_b Rᵀdiag(B_i)R + μ RᵀR + γ_g Σ_p w²_{ip} v_p v_pᵀ] ℓ_i = (rhs R)_i
+with ``v_p = Rᵀ g_p``; only the similarity term couples rows of ``L``
+(through ``H``), and symmetrically only the continuity term couples rows of
+``R`` (through ``G``). The per-row blocks are assembled in a handful of GEMMs
+over cached Gram structure, **batch last**: a ``(k*k, rows)`` stack, viewed
+as ``(k, k, rows)``. When a coupling term is active, the same blocks —
+augmented with the coupling's exact diagonal — become a block-Jacobi
+preconditioner for a matrix-free CG on the coupled system, which converges
+in a few iterations because the coupling weights (γ) are small against the
+per-row curvature. The CG iterate is a ``(k, rows)`` array, so every block
+product is one contiguous ``einsum`` over the rows, and the preconditioner's
+block inverses come from one batched Cholesky factorization and a ``k``-step
+vectorized inversion of its factor (:func:`_spd_block_inverse`): no LAPACK or
+BLAS call per ``k×k`` block. The smoothness operators reach the iterate as
+``kron(I_k, ·)``, one CSR matvec per application with no transpose copy.
+Without a coupling term (the objective ablations) the rows are independent
+and are solved closed-form in one batched ``k×k`` dense solve.
 
-  with ``v_p = Rᵀ g_p``; only the similarity term couples rows of ``L``
-  (through ``H``), and symmetrically only the continuity term couples rows of
-  ``R`` (through ``G``). The per-row blocks are assembled in a handful of
-  GEMMs over cached Gram structure, **batch last**: a ``(k*k, rows)`` stack,
-  viewed as ``(k, k, rows)``. When a coupling term is active, the same
-  blocks — augmented with the coupling's exact diagonal — become a
-  block-Jacobi preconditioner for a matrix-free CG on the coupled system,
-  which converges in a few iterations because the coupling weights (γ) are
-  small against the per-row curvature. The CG iterate is a ``(k, rows)``
-  array, so every block product is one contiguous ``einsum`` over the rows,
-  and the preconditioner's block inverses come from one batched Cholesky
-  factorization and a ``k``-step vectorized inversion of its factor
-  (:func:`_spd_block_inverse`): no LAPACK or BLAS call per ``k×k`` block.
-  The smoothness operators reach the iterate as ``kron(I_k, ·)``, one CSR
-  matvec per application with no transpose copy. Without a coupling term
-  (the objective ablations) the rows are independent and are solved
-  closed-form in one batched ``k×k`` dense solve, collapsing to a *single*
-  shared factorization when the rows are uniform.
-
-  The smoothness operators ``G``/``H`` stay ``scipy.sparse`` CSR throughout:
-  an application costs ``O(links·pairs)``, and no update densifies them.
-
-* ``"cg"`` — the original matrix-free conjugate-gradient solve of each
-  half-step: the reference implementation that the solver-mode tests
-  (``tests/core/test_loli_ir_modes.py``) cross-validate ``"gram"``
-  against.
+The smoothness operators ``G``/``H`` stay ``scipy.sparse`` CSR throughout: an
+application costs ``O(links·pairs)``, and no update densifies them.
 
 Following the paper, the factors are initialized from an SVD of a rough
 completion (``X̂₀ = UΣVᵀ, L = UΣ^{1/2}, R = VΣ^{1/2}``). When a caller
@@ -69,11 +60,7 @@ import numpy as np
 from scipy.sparse import csr_array, issparse
 
 from repro.core.completion import mean_fill
-from repro.util.linalg import (
-    balanced_factors,
-    conjugate_gradient,
-    preconditioned_conjugate_gradient,
-)
+from repro.util.linalg import balanced_factors, conjugate_gradient
 from repro.util.validation import check_matrix, check_positive
 
 
@@ -99,28 +86,6 @@ class LoliIrConfig:
             iterate never increases its quadratic, which *is* the full
             objective restricted to that factor, so outer monotonicity holds
             at any inner tolerance.
-        method: Half-step backend: ``"gram"`` (precomputed Gram structure;
-            the coupled half-steps — continuity couples the R-step's cell
-            rows, similarity the L-step's link rows — run a block-Jacobi
-            preconditioned CG batch last, with ``(k, k, rows)`` blocks, a
-            ``(k, rows)`` iterate and the block inverses taken from their
-            Cholesky factors; closed-form ``k×k`` solves when no coupling
-            term is active) or ``"cg"`` (the original matrix-free CG, the
-            reference the solver-mode tests cross-validate ``"gram"``
-            against).
-        accelerate: Safeguarded extrapolation of the outer loop. The
-            alternating map converges linearly with a stable contraction
-            ratio (one dominant error direction), so after each sweep the
-            solver probes steps ``x + β(x − x_prev)`` for doubling ``β`` and
-            keeps the best strictly-improving candidate. The safeguard
-            (accept only on objective decrease) preserves monotonicity by
-            construction; on the paper workload it roughly halves the sweeps
-            of the hard updates.
-        dtype: Arithmetic precision of the solve: ``"float64"`` (default) or
-            ``"float32"``. Single precision halves memory traffic — worthwhile
-            on large deployments — at the cost of a coarser attainable
-            tolerance; the objective bookkeeping always accumulates in
-            float64.
     """
 
     rank: int = 6
@@ -133,19 +98,10 @@ class LoliIrConfig:
     tol: float = 1e-6
     cg_tol: float = 1e-7
     cg_max_iter: int = 200
-    method: str = "gram"
-    accelerate: bool = True
-    dtype: str = "float64"
 
     def __post_init__(self) -> None:
         if self.rank < 1:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
-        if self.method not in ("gram", "cg"):
-            raise ValueError(f"method must be gram or cg, got {self.method!r}")
-        if self.dtype not in ("float32", "float64"):
-            raise ValueError(
-                f"dtype must be float32 or float64, got {self.dtype!r}"
-            )
         check_positive("lam", self.lam)
         check_positive("observed_weight", self.observed_weight, strict=False)
         check_positive("lrr_weight", self.lrr_weight, strict=False)
@@ -174,9 +130,10 @@ class LoliIrResult:
         inner_iterations: Inner CG iterations spent in each outer sweep
             (0 for sweeps solved entirely closed-form).
         solve_seconds: Total wall time of the solve, initialization included.
-        warm_started: Whether the supplied warm factors were actually used
-            (they are discarded when the cold initialization scores a lower
-            starting objective).
+        warm_started: Whether the supplied warm factors were actually used.
+            They are discarded when the cold initialization scores a lower
+            starting objective, and when the one-sweep probe from them does
+            not converge.
     """
 
     matrix: np.ndarray
@@ -354,36 +311,27 @@ class _CompiledProblem:
     * the CSR transposes ``Gᵀ``/``Hᵀ`` — every application of a difference
       operator costs ``O(links·pairs)``;
     * the squared operators ``G∘G`` / ``H∘H`` (CSR) and squared gate weights
-      ``W²`` — the fixed quadratic structure from which the ``"gram"`` method
-      assembles its per-row normal-equation blocks and the exact diagonal of
+      ``W²`` — the fixed quadratic structure from which the half-steps
+      assemble their per-row normal-equation blocks and the exact diagonal of
       the coupling terms (for the block-Cholesky CG preconditioner);
     * the observation mask as a float matrix (GEMM operand for the per-row
       observed Gram ``Rᵀ diag(B_i) R``) and the right-hand-side matrix;
     * ``kron(I_k, ·)`` copies of ``Gᵀ``/``G``/``H``/``Hᵀ``, which apply an
       operator to every row of a batch-last ``(k, rows)`` CG iterate in one
       matvec (see :func:`_repeat_diagonal`).
-
-    All arrays are cast to the configured dtype so a float32 solve never
-    mixes precisions inside the hot loop.
     """
 
     def __init__(
         self, problem: LoliIrProblem, config: LoliIrConfig, rank: int
     ) -> None:
-        dtype = np.dtype(config.dtype)
         self.shape = problem.shape
-        self.dtype = dtype
         self.observed_mask = problem.observed_mask
-        self.mask_float = problem.observed_mask.astype(dtype)
-        self.observed_values = problem.observed_values.astype(dtype)
-        self.observed_scaled = (
-            config.observed_weight
-            * np.where(problem.observed_mask, problem.observed_values, 0.0)
-        ).astype(dtype)
+        self.mask_float = problem.observed_mask.astype(float)
+        self.observed_values = problem.observed_values
 
         self.lrr_target: Optional[np.ndarray] = None
         if problem.lrr_target is not None and config.lrr_weight > 0:
-            self.lrr_target = problem.lrr_target.astype(dtype)
+            self.lrr_target = problem.lrr_target
 
         self.continuity_weights: Optional[np.ndarray] = None
         self.continuity_weights_sq: Optional[np.ndarray] = None
@@ -392,10 +340,10 @@ class _CompiledProblem:
             and problem.continuity_op.shape[1] > 0  # zero pairs ⇒ zero term
             and config.continuity_weight > 0
         ):
-            weights = problem.continuity_weights.astype(dtype)
+            weights = problem.continuity_weights
             self.continuity_weights = weights
             self.continuity_weights_sq = weights * weights
-            self._g = problem.continuity_op.astype(dtype, copy=False)
+            self._g = problem.continuity_op
             self._gt = self._g.T.tocsr()
             self._g_sq = self._g.power(2)
             self._g_gather_rows = _repeat_diagonal(self._gt, rank)
@@ -408,39 +356,33 @@ class _CompiledProblem:
             and problem.similarity_op.shape[0] > 0  # zero pairs ⇒ zero term
             and config.similarity_weight > 0
         ):
-            weights = problem.similarity_weights.astype(dtype)
+            weights = problem.similarity_weights
             self.similarity_weights = weights
             self.similarity_weights_sq = weights * weights
-            self._h = problem.similarity_op.astype(dtype, copy=False)
+            self._h = problem.similarity_op
             self._ht = self._h.T.tocsr()
             self._h_sq_t = self._ht.power(2)
             self._h_gather_rows = _repeat_diagonal(self._h, rank)
             self._h_scatter_rows = _repeat_diagonal(self._ht, rank)
 
         # d(objective)/dX̂ right-hand side, computed once per solve.
-        rhs = self.observed_scaled
+        rhs = config.observed_weight * np.where(
+            problem.observed_mask, problem.observed_values, 0.0
+        )
         if self.lrr_target is not None:
             rhs = rhs + config.lrr_weight * self.lrr_target
-        self.rhs = rhs.astype(dtype)
+        self.rhs = rhs
 
     # -- operator applications ----------------------------------------
     def apply_g(self, matrix: np.ndarray) -> np.ndarray:
         """``matrix @ G`` (column differences across cell pairs)."""
         return (self._gt @ matrix.T).T
 
-    def apply_gt(self, matrix: np.ndarray) -> np.ndarray:
-        """``matrix @ G.T`` (adjoint scatter back onto cells)."""
-        return (self._g @ matrix.T).T
-
     def apply_h(self, matrix: np.ndarray) -> np.ndarray:
         """``H @ matrix`` (row differences across link pairs)."""
         return self._h @ matrix
 
-    def apply_ht(self, matrix: np.ndarray) -> np.ndarray:
-        """``H.T @ matrix``."""
-        return self._ht @ matrix
-
-    # -- Gram-structure applications (the "gram" method) ----------------
+    # -- Gram-structure applications ----------------------------------
     # The coupled half-steps work batch last: an iterate is a C-ordered
     # ``(k, rows)`` array and a block stack is ``(k*k, rows)``.
     def g_gather(self, factor: np.ndarray) -> np.ndarray:
@@ -513,7 +455,7 @@ class LoliIrSolver:
                 a cold one. A warm solve therefore provably never takes more
                 outer iterations than a cold solve of the same problem
                 (regression-tested). Ignored when the shapes do not fit this
-                problem.
+                problem, and when ``initial`` is given.
         """
         started = time.perf_counter()
         cfg = self.config
@@ -521,13 +463,13 @@ class LoliIrSolver:
         rank = min(cfg.rank, links, cells)
         compiled = _CompiledProblem(problem, cfg, rank)
 
-        warm_pair = None
+        warm_matrix = None
         if warm_factors is not None and initial is None:
             warm_left, warm_right = warm_factors
             if warm_left.shape == (links, rank) and warm_right.shape == (cells, rank):
-                warm_pair = (
-                    np.array(warm_left, dtype=compiled.dtype, copy=True),
-                    np.array(warm_right, dtype=compiled.dtype, copy=True),
+                warm_matrix = (
+                    np.asarray(warm_left, dtype=float)
+                    @ np.asarray(warm_right, dtype=float).T
                 )
         start = (
             self._initial_matrix(problem)
@@ -539,10 +481,8 @@ class LoliIrSolver:
                 f"initial shape {start.shape} does not match problem shape "
                 f"{problem.shape}"
             )
-        cold_left, cold_right = balanced_factors(start, rank)
-        left = cold_left.astype(compiled.dtype)
-        right = cold_right.astype(compiled.dtype)
-        if warm_pair is not None:
+        left, right = balanced_factors(start, rank)
+        if warm_matrix is not None:
             # Warm-start probe. Refresh the previous solution with today's
             # observations (it is stale exactly where this problem has fresh
             # data), re-factor, and run ONE probe sweep from it. Accept the
@@ -555,21 +495,15 @@ class LoliIrSolver:
             # so a warm solve can never take more outer iterations than cold
             # (the regression guarantee that replaced the PR-1 behavior of
             # warm solves crawling to the sweep cap).
-            warm_matrix = warm_pair[0] @ warm_pair[1].T
             refreshed = np.where(
                 problem.observed_mask, compiled.observed_values, warm_matrix
             )
-            warm_left, warm_right = balanced_factors(
-                np.asarray(refreshed, dtype=float), rank
-            )
-            warm_left = warm_left.astype(compiled.dtype)
-            warm_right = warm_right.astype(compiled.dtype)
+            warm_left, warm_right = balanced_factors(refreshed, rank)
             cold_objective = self._objective(compiled, left, right)
             warm_objective = self._objective(compiled, warm_left, warm_right)
             if warm_objective < cold_objective:
-                sweep = self._sweep_gram if cfg.method == "gram" else self._sweep_cg
                 probe_started = time.perf_counter()
-                probe_left, probe_right, inner = sweep(
+                probe_left, probe_right, inner = self._sweep(
                     compiled, warm_left, warm_right
                 )
                 probe_objective = self._objective(
@@ -603,12 +537,11 @@ class LoliIrSolver:
         # direction (see _extrapolate for why it spans two sweeps).
         older_left: Optional[np.ndarray] = None
         older_right: Optional[np.ndarray] = None
-        sweep = self._sweep_gram if cfg.method == "gram" else self._sweep_cg
         for iterations in range(1, cfg.outer_iterations + 1):
             sweep_started = time.perf_counter()
-            new_left, new_right, inner = sweep(compiled, left, right)
+            new_left, new_right, inner = self._sweep(compiled, left, right)
             objective = self._objective(compiled, new_left, new_right)
-            if cfg.accelerate and older_left is not None:
+            if older_left is not None:
                 new_left, new_right, objective = self._extrapolate(
                     compiled, older_left, older_right,
                     new_left, new_right, objective,
@@ -639,26 +572,6 @@ class LoliIrSolver:
     # ------------------------------------------------------------------
     # objective pieces
     # ------------------------------------------------------------------
-    def _residual_operator(
-        self, compiled: _CompiledProblem, estimate: np.ndarray
-    ) -> np.ndarray:
-        """``S(X̂)``: the PSD part of d(objective)/dX̂ (without the rhs)."""
-        cfg = self.config
-        out = cfg.observed_weight * np.where(compiled.observed_mask, estimate, 0.0)
-        if compiled.lrr_target is not None:
-            out = out + cfg.lrr_weight * estimate
-        if compiled.continuity_weights is not None:
-            weighted = compiled.continuity_weights * compiled.apply_g(estimate)
-            out = out + cfg.continuity_weight * compiled.apply_gt(
-                compiled.continuity_weights * weighted
-            )
-        if compiled.similarity_weights is not None:
-            weighted = compiled.similarity_weights * compiled.apply_h(estimate)
-            out = out + cfg.similarity_weight * compiled.apply_ht(
-                compiled.similarity_weights * weighted
-            )
-        return out
-
     def _objective(
         self, compiled: _CompiledProblem, left: np.ndarray, right: np.ndarray
     ) -> float:
@@ -666,10 +579,7 @@ class LoliIrSolver:
         estimate = left @ right.T
 
         def sumsq(array: np.ndarray) -> float:
-            # Accumulate in float64 even for float32 solves, so the
-            # convergence test is not at the mercy of single-precision
-            # reduction error.
-            return float(np.sum(np.square(array, dtype=np.float64)))
+            return float(np.sum(np.square(array)))
 
         value = cfg.lam * (sumsq(left) + sumsq(right))
         residual = np.where(
@@ -699,10 +609,13 @@ class LoliIrSolver:
     ) -> Tuple[np.ndarray, np.ndarray, float]:
         """Greedy safeguarded extrapolation along the two-sweep direction.
 
-        Probes ``x + β(x − x_older)`` for β = 1, 2, 4, … and keeps the best
-        strictly-improving candidate. ``x_older`` is the iterate from *two*
-        sweeps back, so the direction spans two applications of the
-        alternating map — the squared map. That matters: L/R alternation
+        The alternating map converges linearly with a stable contraction
+        ratio (one dominant error direction), so after each sweep the solver
+        probes ``x + β(x − x_older)`` for β = 1, 2, 4, … and keeps the best
+        strictly-improving candidate; on the paper workload this roughly
+        halves the sweeps of the hard updates. ``x_older`` is the iterate
+        from *two* sweeps back, so the direction spans two applications of
+        the alternating map — the squared map. That matters: L/R alternation
         introduces an odd/even zigzag in the error, and the squared-map
         direction cancels it (the single-sweep direction measurably slows
         small-link-count deployments). Rejected candidates leave the iterate
@@ -723,26 +636,25 @@ class LoliIrSolver:
         return left, right, objective
 
     # ------------------------------------------------------------------
-    # "gram" method: closed-form k×k rows + preconditioned CG coupling
+    # half-steps: closed-form k×k rows + preconditioned CG coupling
     # ------------------------------------------------------------------
-    def _sweep_gram(
+    def _sweep(
         self, compiled: _CompiledProblem, left: np.ndarray, right: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, int]:
-        left, inner_left = self._solve_left_gram(compiled, left, right)
-        right, inner_right = self._solve_right_gram(compiled, left, right)
+        left, inner_left = self._solve_left(compiled, left, right)
+        right, inner_right = self._solve_right(compiled, left, right)
         return left, right, inner_left + inner_right
 
-    def _solve_left_gram(
+    def _solve_left(
         self, compiled: _CompiledProblem, left: np.ndarray, right: np.ndarray
     ) -> Tuple[np.ndarray, int]:
         """L-step: per-link ``k×k`` normal equations; H couples link rows."""
         cfg = self.config
         links = compiled.shape[0]
         k = right.shape[1]
-        dtype = compiled.dtype
         right_outer = _outer_rows(right).T  # (k*k, cells)
 
-        shared = cfg.lam * np.eye(k, dtype=dtype)
+        shared = cfg.lam * np.eye(k)
         if compiled.lrr_target is not None:
             shared = shared + cfg.lrr_weight * (right.T @ right)
         blocks = cfg.observed_weight * (right_outer @ compiled.mask_float.T)
@@ -777,17 +689,16 @@ class LoliIrSolver:
             operator, rhs, preconditioner_blocks.reshape(k, k, links), x0=left
         )
 
-    def _solve_right_gram(
+    def _solve_right(
         self, compiled: _CompiledProblem, left: np.ndarray, right: np.ndarray
     ) -> Tuple[np.ndarray, int]:
         """R-step: per-cell ``k×k`` normal equations; G couples cell rows."""
         cfg = self.config
         cells = compiled.shape[1]
         k = left.shape[1]
-        dtype = compiled.dtype
         left_outer = _outer_rows(left).T  # (k*k, links)
 
-        shared = cfg.lam * np.eye(k, dtype=dtype)
+        shared = cfg.lam * np.eye(k)
         if compiled.lrr_target is not None:
             shared = shared + cfg.lrr_weight * (left.T @ left)
         blocks = cfg.observed_weight * (left_outer @ compiled.mask_float)
@@ -822,11 +733,6 @@ class LoliIrSolver:
             operator, rhs, preconditioner_blocks.reshape(k, k, cells), x0=right
         )
 
-    def _inner_tol(self, rhs: np.ndarray) -> float:
-        """Inner tolerance, clamped to the precision floor: float32 cannot
-        reach the float64 default, so stop there instead of spinning."""
-        return max(self.config.cg_tol, 10.0 * float(np.finfo(rhs.dtype).eps))
-
     def _coupled_solve(
         self,
         operator: Callable[[np.ndarray], np.ndarray],
@@ -847,54 +753,15 @@ class LoliIrSolver:
         def preconditioner(residual: np.ndarray) -> np.ndarray:
             return _block_products(inverse_blocks, residual)
 
-        tol = self._inner_tol(rhs)
-        result = preconditioned_conjugate_gradient(
+        result = conjugate_gradient(
             operator,
             rhs,
-            preconditioner=preconditioner,
             x0=np.ascontiguousarray(x0.T),
-            tol=tol,
+            tol=cfg.cg_tol,
             max_iter=cfg.cg_max_iter,
+            preconditioner=preconditioner,
         )
         return np.ascontiguousarray(result.solution.T), result.iterations
-
-    # ------------------------------------------------------------------
-    # "cg" method: the original matrix-free half-steps (reference)
-    # ------------------------------------------------------------------
-    def _sweep_cg(
-        self, compiled: _CompiledProblem, left: np.ndarray, right: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, int]:
-        cfg = self.config
-
-        def left_operator(candidate: np.ndarray) -> np.ndarray:
-            return cfg.lam * candidate + self._residual_operator(
-                compiled, candidate @ right.T
-            ) @ right
-
-        left_result = conjugate_gradient(
-            left_operator,
-            compiled.rhs @ right,
-            x0=left,
-            tol=cfg.cg_tol,
-            max_iter=cfg.cg_max_iter,
-        )
-        left = left_result.solution
-
-        def right_operator(candidate: np.ndarray) -> np.ndarray:
-            return cfg.lam * candidate + self._residual_operator(
-                compiled, left @ candidate.T
-            ).T @ left
-
-        right_result = conjugate_gradient(
-            right_operator,
-            compiled.rhs.T @ left,
-            x0=right,
-            tol=cfg.cg_tol,
-            max_iter=cfg.cg_max_iter,
-        )
-        return left, right_result.solution, (
-            left_result.iterations + right_result.iterations
-        )
 
     # ------------------------------------------------------------------
     # initialization
@@ -910,12 +777,6 @@ class LoliIrSolver:
 
 
 def _solve_blocks(blocks: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve the decoupled per-row ``k×k`` normal equations closed-form.
-
-    When every row shares the same block — uniform observation weighting and
-    uniform (or absent) smoothness gates — one factorization serves all rows;
-    otherwise the systems are solved in a single batched dense call.
-    """
-    if len(blocks) > 1 and np.array_equiv(blocks, blocks[0]):
-        return np.linalg.solve(blocks[0], rhs.T).T
+    """Solve the decoupled per-row ``k×k`` normal equations closed-form, in
+    one batched dense call."""
     return np.linalg.solve(blocks, rhs[:, :, None])[:, :, 0]

@@ -1,11 +1,10 @@
 """Radio-testbed substrate: geometry, channel, target shadowing, drift.
 
-This subpackage stands in for the paper's Atheros AR9331 testbed (see
-DESIGN.md section 2). It produces RSS measurement streams with the same
-structural properties the TafLoc solver exploits: an approximately low-rank
-fingerprint matrix, linear correlation between reference columns and the rest,
-and continuity/similarity of the target-blocked ("largely distorted")
-entries.
+This subpackage stands in for the paper's Atheros AR9331 testbed. It
+produces RSS measurement streams with the same structural properties the
+TafLoc solver exploits: an approximately low-rank fingerprint matrix, linear
+correlation between reference columns and the rest, and continuity/similarity
+of the target-blocked ("largely distorted") entries.
 """
 
 from repro.sim.channel import ChannelModel, ChannelParams

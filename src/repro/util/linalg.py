@@ -118,26 +118,6 @@ def conjugate_gradient(
     )
 
 
-def preconditioned_conjugate_gradient(
-    operator: LinearOperator,
-    rhs: np.ndarray,
-    *,
-    preconditioner: LinearOperator,
-    x0: Optional[np.ndarray] = None,
-    tol: float = 1e-8,
-    max_iter: int = 200,
-) -> CgResult:
-    """:func:`conjugate_gradient` with the preconditioner required."""
-    return conjugate_gradient(
-        operator,
-        rhs,
-        x0=x0,
-        tol=tol,
-        max_iter=max_iter,
-        preconditioner=preconditioner,
-    )
-
-
 def soft_threshold(values: np.ndarray, threshold: float) -> np.ndarray:
     """Elementwise soft-thresholding operator ``sign(v) * max(|v| - t, 0)``."""
     check_positive("threshold", threshold, strict=False)

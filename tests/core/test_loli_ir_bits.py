@@ -1,4 +1,4 @@
-"""Golden digests and iteration budgets of the LoLi-IR ``"gram"`` solver.
+"""Golden digests and iteration budgets of the LoLi-IR solver.
 
 Every reconstructed epoch the server answers from is a LoLi-IR solve, so a
 change to the solver's arithmetic moves the bits of every epoch. This

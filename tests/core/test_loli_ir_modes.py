@@ -1,11 +1,17 @@
-"""Solver modes of LoLi-IR: the Gram fast path (block-Cholesky PCG on
-the coupled half-steps) vs the matrix-free CG reference, float32, and
-warm-started solves."""
+"""LoLi-IR's solver against a dense least-squares oracle of each
+half-step, its safeguarded extrapolation, and warm-started solves."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
-from repro.core.loli_ir import LoliIrConfig, LoliIrProblem, LoliIrSolver
+from repro.core.loli_ir import (
+    LoliIrConfig,
+    LoliIrProblem,
+    LoliIrSolver,
+    _CompiledProblem,
+)
 from repro.core.reconstruction import ReconstructionConfig, Reconstructor
 from repro.core.fingerprint import FingerprintMatrix
 from repro.sim.collector import CollectionProtocol, RssCollector
@@ -51,62 +57,125 @@ def make_smooth_problem(links=8, cells=24, rank=3, seed=3):
     )
 
 
-class TestGramMethod:
-    def test_method_validated(self):
-        with pytest.raises(ValueError, match="method"):
-            LoliIrConfig(method="newton")
+def dense_half_step(problem, config, fixed, side):
+    """One half-step solved exactly as a single dense least-squares system.
 
-    def test_matches_cg_reference_on_full_objective(self):
-        """Both backends solve the same normal equations; with acceleration
-        off and a tight inner tolerance they must agree to solver precision
-        on a problem exercising every term (couplings included)."""
-        problem = make_smooth_problem()
-        kwargs = dict(rank=3, accelerate=False, cg_tol=1e-11, tol=1e-8)
-        gram = LoliIrSolver(LoliIrConfig(method="gram", **kwargs)).solve(problem)
-        cg = LoliIrSolver(LoliIrConfig(method="cg", **kwargs)).solve(problem)
-        assert gram.iterations == cg.iterations
-        np.testing.assert_allclose(gram.matrix, cg.matrix, atol=1e-6)
-        assert gram.final_objective == pytest.approx(
-            cg.final_objective, rel=1e-9
-        )
+    Every objective term is a weighted residual that is linear in the
+    estimate ``X̂ = L Rᵀ``, and ``design`` maps the free factor (raveled
+    C-order) to ``vec(X̂)``: ``kron(I_links, R)`` for the L-step; for the
+    R-step ``kron(L, I_cells)``, whose columns index ``vec(Rᵀ)``, permuted to
+    index ``vec(R)``. The rows ``√λ·I``, ``√w_b·B∘(·)``, ``√μ·I``,
+    ``√γ_g·W_g∘(·G)`` and ``√γ_h·W_h∘(H·)`` stack into one ``min ||A x − b||``.
 
-    def test_matches_cg_without_couplings(self):
-        _, problem = make_problem()
-        kwargs = dict(rank=3, accelerate=False, cg_tol=1e-11, tol=1e-8)
-        gram = LoliIrSolver(LoliIrConfig(method="gram", **kwargs)).solve(problem)
-        cg = LoliIrSolver(LoliIrConfig(method="cg", **kwargs)).solve(problem)
-        np.testing.assert_allclose(gram.matrix, cg.matrix, atol=1e-6)
+    Returns the minimizing factor and the full objective there (the fixed
+    factor's ``λ||·||²`` included).
+    """
+    links, cells = problem.shape
+    k = fixed.shape[1]
+    if side == "left":
+        design = np.kron(np.eye(links), fixed)
+    else:
+        to_right = np.arange(k * cells).reshape(k, cells).T.ravel()
+        design = np.kron(fixed, np.eye(cells))[:, to_right]
+    rows, targets = [], []
 
-    def test_uniform_rows_fast_path_exact(self):
-        """Fully observed + no smoothness ⇒ every row shares one k×k system;
-        the shared-factorization fast path must agree with the reference."""
-        rng = np.random.default_rng(9)
-        truth = rng.normal(size=(6, 3)) @ rng.normal(size=(3, 15))
-        problem = LoliIrProblem(
+    def add(weight, block, target):
+        rows.append(np.sqrt(weight) * block)
+        targets.append(np.sqrt(weight) * target)
+
+    add(config.lam, np.eye(design.shape[1]), np.zeros(design.shape[1]))
+    mask = problem.observed_mask.ravel()
+    add(
+        config.observed_weight,
+        design * mask[:, None],
+        np.where(mask, problem.observed_values.ravel(), 0.0),
+    )
+    if problem.lrr_target is not None:
+        add(config.lrr_weight, design, problem.lrr_target.ravel())
+    if problem.continuity_op is not None:
+        along = np.kron(np.eye(links), problem.continuity_op.toarray().T)
+        block = problem.continuity_weights.ravel()[:, None] * (along @ design)
+        add(config.continuity_weight, block, np.zeros(len(block)))
+    if problem.similarity_op is not None:
+        across = np.kron(problem.similarity_op.toarray(), np.eye(cells))
+        block = problem.similarity_weights.ravel()[:, None] * (across @ design)
+        add(config.similarity_weight, block, np.zeros(len(block)))
+    matrix, target = np.vstack(rows), np.concatenate(targets)
+    solution = np.linalg.lstsq(matrix, target, rcond=None)[0]
+    objective = float(np.sum(np.square(matrix @ solution - target)))
+    objective += config.lam * float(np.sum(np.square(fixed)))
+    return solution.reshape(-1, k), objective
+
+
+def oracle_problems():
+    smooth = make_smooth_problem()
+    rng = np.random.default_rng(9)
+    truth = rng.normal(size=(6, 3)) @ rng.normal(size=(3, 15))
+    return {
+        "every-term": smooth,
+        "no-coupling": make_problem()[1],
+        "continuity-only": dataclasses.replace(
+            smooth, similarity_op=None, similarity_weights=None
+        ),
+        "similarity-only": dataclasses.replace(
+            smooth, continuity_op=None, continuity_weights=None
+        ),
+        # Every row of each half-step shares one k×k block.
+        "fully-observed": LoliIrProblem(
             observed_mask=np.ones_like(truth, dtype=bool),
             observed_values=truth,
-        )
-        kwargs = dict(rank=3, accelerate=False, cg_tol=1e-11, tol=1e-8)
-        gram = LoliIrSolver(LoliIrConfig(method="gram", **kwargs)).solve(problem)
-        cg = LoliIrSolver(LoliIrConfig(method="cg", **kwargs)).solve(problem)
-        np.testing.assert_allclose(gram.matrix, cg.matrix, atol=1e-6)
+        ),
+    }
 
+
+ORACLE_PROBLEMS = oracle_problems()
+
+
+class TestDenseOracle:
+    @pytest.mark.parametrize("name", list(ORACLE_PROBLEMS))
+    def test_half_steps_match_dense_least_squares(self, name):
+        """Each half-step's closed-form rows and preconditioned CG reach the
+        exact minimizer, and the solver's objective bookkeeping scores it as
+        the oracle does."""
+        problem = ORACLE_PROBLEMS[name]
+        config = LoliIrConfig(rank=3, cg_tol=1e-12)
+        solver = LoliIrSolver(config)
+        compiled = _CompiledProblem(problem, config, 3)
+        links, cells = problem.shape
+        rng = np.random.default_rng(5)
+        left = rng.normal(size=(links, 3))
+        right = rng.normal(size=(cells, 3))
+
+        solved_left, _ = solver._solve_left(compiled, left, right)
+        expected_left, objective = dense_half_step(problem, config, right, "left")
+        assert np.max(np.abs(solved_left - expected_left)) <= 1e-8
+        scored = solver._objective(compiled, expected_left, right)
+        assert scored == pytest.approx(objective, rel=1e-10)
+
+        solved_right, _ = solver._solve_right(compiled, left, right)
+        expected_right, objective = dense_half_step(problem, config, left, "right")
+        assert np.max(np.abs(solved_right - expected_right)) <= 1e-8
+        scored = solver._objective(compiled, left, expected_right)
+        assert scored == pytest.approx(objective, rel=1e-10)
+
+
+class TestGramMethod:
     def test_acceleration_never_increases_objective(self):
         problem = make_smooth_problem(seed=11)
-        result = LoliIrSolver(
-            LoliIrConfig(rank=3, accelerate=True, outer_iterations=25)
-        ).solve(problem)
+        result = LoliIrSolver(LoliIrConfig(rank=3, outer_iterations=25)).solve(problem)
         history = result.objective_history
         assert np.all(np.diff(history) <= 1e-9 * np.maximum(1.0, history[:-1]))
 
-    def test_acceleration_does_not_worsen_final_objective(self):
+    def test_acceleration_does_not_worsen_final_objective(self, monkeypatch):
         problem = make_smooth_problem(seed=12)
-        plain = LoliIrSolver(
-            LoliIrConfig(rank=3, accelerate=False, outer_iterations=40)
-        ).solve(problem)
-        fast = LoliIrSolver(
-            LoliIrConfig(rank=3, accelerate=True, outer_iterations=40)
-        ).solve(problem)
+        solver = LoliIrSolver(LoliIrConfig(rank=3, outer_iterations=40))
+        fast = solver.solve(problem)
+
+        def keep_the_sweep(self, compiled, older_left, older_right, *sweep):
+            return sweep
+
+        monkeypatch.setattr(LoliIrSolver, "_extrapolate", keep_the_sweep)
+        plain = solver.solve(problem)
         assert fast.final_objective <= plain.final_objective * (1 + 1e-4)
 
     def test_convergence_history_exposed(self):
@@ -126,7 +195,7 @@ class TestGramMethod:
         """Both couplings active ⇒ every sweep runs the block-Cholesky
         PCG on its coupled half-steps and counts the iterations."""
         problem = make_smooth_problem(seed=7)
-        result = LoliIrSolver(LoliIrConfig(rank=3, accelerate=False)).solve(problem)
+        result = LoliIrSolver(LoliIrConfig(rank=3)).solve(problem)
         assert np.all(result.inner_iterations > 0)
 
     def test_solver_instance_keeps_no_state_between_solves(self):
@@ -140,29 +209,6 @@ class TestGramMethod:
         assert first.iterations == second.iterations
 
 
-class TestFloat32Mode:
-    def test_dtype_validated(self):
-        with pytest.raises(ValueError, match="dtype"):
-            LoliIrConfig(dtype="float16")
-
-    def test_float32_solution_close_to_float64(self):
-        truth, problem = make_problem()
-        result64 = LoliIrSolver(LoliIrConfig(rank=3)).solve(problem)
-        result32 = LoliIrSolver(LoliIrConfig(rank=3, dtype="float32")).solve(problem)
-        assert result32.matrix.dtype == np.float32
-        np.testing.assert_allclose(
-            result32.matrix, result64.matrix, atol=5e-2, rtol=5e-2
-        )
-
-    def test_float32_objective_monotone(self):
-        _, problem = make_problem()
-        result = LoliIrSolver(
-            LoliIrConfig(rank=3, dtype="float32", outer_iterations=10)
-        ).solve(problem)
-        history = result.objective_history
-        assert np.all(np.diff(history) <= 1e-3 * np.maximum(1.0, history[:-1]))
-
-
 class TestWarmFactors:
     def test_warm_factors_reused(self):
         _, problem = make_problem()
@@ -173,6 +219,42 @@ class TestWarmFactors:
         assert warm.iterations <= 3
         # …without degrading the solution.
         assert warm.final_objective <= cold.final_objective * (1 + 1e-6)
+
+    def test_warm_factors_at_the_optimum_finish_in_one_sweep(self):
+        """With nothing observed the refresh keeps the warm product as it
+        is, so factors at the optimum are accepted after the probe sweep."""
+        smooth = make_smooth_problem()
+        problem = dataclasses.replace(
+            smooth, observed_mask=np.zeros(smooth.shape, dtype=bool)
+        )
+        solver = LoliIrSolver(LoliIrConfig(rank=3))
+        cold = solver.solve(problem)
+        warm = solver.solve(problem, warm_factors=(cold.left, cold.right))
+        assert warm.warm_started
+        assert warm.iterations == 1
+        assert warm.final_objective <= cold.final_objective * (1 + 1e-6)
+
+    def test_unconverged_probe_leaves_the_cold_solve_bit_identical(self, monkeypatch):
+        problem = make_smooth_problem()
+        sweeps = []
+        sweep = LoliIrSolver._sweep
+
+        def counting_sweep(self, *args):
+            sweeps.append(1)
+            return sweep(self, *args)
+
+        monkeypatch.setattr(LoliIrSolver, "_sweep", counting_sweep)
+        stale = LoliIrSolver(LoliIrConfig(rank=3, outer_iterations=2)).solve(problem)
+        solver = LoliIrSolver(LoliIrConfig(rank=3))
+        sweeps.clear()
+        cold = solver.solve(problem)
+        cold_sweeps = len(sweeps)
+        sweeps.clear()
+        warm = solver.solve(problem, warm_factors=(stale.left, stale.right))
+        assert len(sweeps) == cold_sweeps + 1  # the probe ran
+        assert not warm.warm_started
+        for name in ("matrix", "left", "right", "objective_history"):
+            assert getattr(warm, name).tobytes() == getattr(cold, name).tobytes()
 
     def test_mismatched_warm_factors_ignored(self):
         _, problem = make_problem()
