@@ -4,7 +4,7 @@
 # history from an older harness; nothing regenerates them.
 #
 # Every gate is a gate section's smoke gate, and every `*-smoke` target
-# runs `benchmarks/bench_perf.py` (sections: solve, engine, serving,
+# runs `benchmarks/bench_perf.py` (sections: engine, serving,
 # frontend, frontend_async, resilience, trust, loadgen), the narrower
 # ones with `--only`: `make bench-smoke` runs every section (writes BENCH_SMOKE.json,
 # gitignored); `make frontend-smoke` the wire/shard/aio bit-identity

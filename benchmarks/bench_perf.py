@@ -7,14 +7,14 @@ Usage::
         [--only SECTION [--only SECTION ...]]
 
 A thin driver over the :mod:`repro.eval.bench` section registry. Each
-registered section — ``solve`` (warm vs cold LoLi-IR updates),
-``engine`` (parallel vs serial figure experiments), ``serving``
-(multi-site in-process service), ``frontend`` (HTTP/tcp/unix wire +
-shard fan-out), ``frontend_async`` (pipelined and streamed asyncio
-NDJSON), ``resilience`` (kill -9, snapshot respawn, live resize),
-``trust`` (quorum reads, corruption repair, degraded serving, snapshot
-retention), ``loadgen`` (SLO saturation search, plan determinism, the
-many-site soak) — runs at seconds scale and owns its gate conditions.
+registered section — ``engine`` (parallel vs serial figure
+experiments), ``serving`` (multi-site in-process service),
+``frontend`` (HTTP/tcp/unix wire + shard fan-out), ``frontend_async``
+(pipelined and streamed asyncio NDJSON), ``resilience`` (kill -9,
+snapshot respawn, live resize), ``trust`` (quorum reads, corruption
+repair, degraded serving, snapshot retention), ``loadgen`` (SLO
+saturation search, plan determinism, the many-site soak) — runs at
+seconds scale and owns its gate conditions.
 ``--only`` narrows a run to the named section(s); the default runs
 every section. The script prints each section's verdict, writes the
 JSON report to ``--out`` (pass or fail) so CI can upload it, and on a

@@ -68,7 +68,7 @@ def test_solver_convergence(benchmark, capsys, update_report):
             "objective", list(range(len(history))), history.tolist(), precision=1
         ),
     )
-    # Monotone non-increasing, with a material drop from the warm start.
+    # Monotone non-increasing, with a material drop from the initialization.
     assert np.all(np.diff(history) <= 1e-6 * np.maximum(1.0, history[:-1]))
     assert history[-1] < history[0]
 

@@ -944,7 +944,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="also serve over a unix domain socket (unix://PATH); without "
         "--listen the TCP port is ephemeral",
     )
-    # Accepted so existing command lines keep parsing; selects nothing.
+    # Selects nothing, but the end-to-end benchmark launches its servers
+    # with `serve --transport aio` (perfbench/procs.py), so it stays.
     serve.add_argument(
         "--transport", choices=["aio"], default="aio", help=argparse.SUPPRESS
     )

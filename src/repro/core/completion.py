@@ -10,7 +10,7 @@ rank-minimization". These solvers implement exactly that rough baseline:
 * :func:`soft_impute` — SoftImpute (Mazumder, Hastie & Tibshirani 2010):
   iterative fill-in with SVD shrinkage; more robust on noisy observations.
 
-Inside TafLoc they serve two roles: warm start for the LoLi-IR factors and
+Inside TafLoc they serve two roles: initialization of the LoLi-IR factors and
 the "rank-minimization only" arm of the objective ablation benchmark.
 """
 

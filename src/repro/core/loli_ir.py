@@ -42,12 +42,7 @@ The smoothness operators ``G``/``H`` stay ``scipy.sparse`` CSR throughout: an
 application costs ``O(links·pairs)``, and no update densifies them.
 
 Following the paper, the factors are initialized from an SVD of a rough
-completion (``X̂₀ = UΣVᵀ, L = UΣ^{1/2}, R = VΣ^{1/2}``). When a caller
-supplies ``warm_factors`` from a previous related solve, the solver runs a
-one-sweep probe from the observation-refreshed warm start and accepts it only
-if that sweep already converges; otherwise it falls back to the cold
-trajectory, so a warm solve provably never takes more outer iterations than a
-cold one (see :meth:`LoliIrSolver.solve`).
+completion (``X̂₀ = UΣVᵀ, L = UΣ^{1/2}, R = VΣ^{1/2}``).
 """
 
 from __future__ import annotations
@@ -130,10 +125,6 @@ class LoliIrResult:
         inner_iterations: Inner CG iterations spent in each outer sweep
             (0 for sweeps solved entirely closed-form).
         solve_seconds: Total wall time of the solve, initialization included.
-        warm_started: Whether the supplied warm factors were actually used.
-            They are discarded when the cold initialization scores a lower
-            starting objective, and when the one-sweep probe from them does
-            not converge.
     """
 
     matrix: np.ndarray
@@ -147,7 +138,6 @@ class LoliIrResult:
         default_factory=lambda: np.zeros(0, dtype=int)
     )
     solve_seconds: float = 0.0
-    warm_started: bool = False
 
     @property
     def final_objective(self) -> float:
@@ -431,102 +421,19 @@ class LoliIrSolver:
     # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------
-    def solve(
-        self,
-        problem: LoliIrProblem,
-        *,
-        initial: Optional[np.ndarray] = None,
-        warm_factors: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-    ) -> LoliIrResult:
+    def solve(self, problem: LoliIrProblem) -> LoliIrResult:
         """Run LoLi-IR to (local) convergence.
 
-        Args:
-            problem: The reconstruction instance.
-            initial: Optional full-matrix warm start; defaults to the LRR
-                target where available, falling back to row-mean fill of the
-                observed entries (the paper's "roughly reconstructed by
-                rank-minimization" starting point).
-            warm_factors: Optional ``(left, right)`` factors from a previous
-                solve of a related instance (e.g. the previous update day).
-                The solver refreshes them with this problem's observations
-                and runs a one-sweep probe: if that sweep already converges,
-                the solve finishes in one outer iteration; otherwise the
-                probe is discarded and the solve proceeds bit-identically to
-                a cold one. A warm solve therefore provably never takes more
-                outer iterations than a cold solve of the same problem
-                (regression-tested). Ignored when the shapes do not fit this
-                problem, and when ``initial`` is given.
+        The factors start from the LRR target where available, falling back
+        to row-mean fill of the observed entries (the paper's "roughly
+        reconstructed by rank-minimization" starting point).
         """
         started = time.perf_counter()
         cfg = self.config
         links, cells = problem.shape
         rank = min(cfg.rank, links, cells)
         compiled = _CompiledProblem(problem, cfg, rank)
-
-        warm_matrix = None
-        if warm_factors is not None and initial is None:
-            warm_left, warm_right = warm_factors
-            if warm_left.shape == (links, rank) and warm_right.shape == (cells, rank):
-                warm_matrix = (
-                    np.asarray(warm_left, dtype=float)
-                    @ np.asarray(warm_right, dtype=float).T
-                )
-        start = (
-            self._initial_matrix(problem)
-            if initial is None
-            else np.asarray(initial, dtype=float)
-        )
-        if start.shape != problem.shape:
-            raise ValueError(
-                f"initial shape {start.shape} does not match problem shape "
-                f"{problem.shape}"
-            )
-        left, right = balanced_factors(start, rank)
-        if warm_matrix is not None:
-            # Warm-start probe. Refresh the previous solution with today's
-            # observations (it is stale exactly where this problem has fresh
-            # data), re-factor, and run ONE probe sweep from it. Accept the
-            # warm start only when that single sweep already meets the
-            # convergence criterion — the near-identical-problem regime the
-            # warm start is built for — in which case the solve finishes in
-            # exactly one outer iteration, provably no more than any cold
-            # solve (which runs at least one). Otherwise the probe is
-            # discarded and the solve below is bit-identical to a cold one,
-            # so a warm solve can never take more outer iterations than cold
-            # (the regression guarantee that replaced the PR-1 behavior of
-            # warm solves crawling to the sweep cap).
-            refreshed = np.where(
-                problem.observed_mask, compiled.observed_values, warm_matrix
-            )
-            warm_left, warm_right = balanced_factors(refreshed, rank)
-            cold_objective = self._objective(compiled, left, right)
-            warm_objective = self._objective(compiled, warm_left, warm_right)
-            if warm_objective < cold_objective:
-                probe_started = time.perf_counter()
-                probe_left, probe_right, inner = self._sweep(
-                    compiled, warm_left, warm_right
-                )
-                probe_objective = self._objective(
-                    compiled, probe_left, probe_right
-                )
-                probe_seconds = time.perf_counter() - probe_started
-                if warm_objective - probe_objective <= cfg.tol * max(
-                    1.0, abs(warm_objective)
-                ):
-                    return LoliIrResult(
-                        matrix=probe_left @ probe_right.T,
-                        left=probe_left,
-                        right=probe_right,
-                        objective_history=np.array(
-                            [warm_objective, probe_objective]
-                        ),
-                        iterations=1,
-                        converged=True,
-                        sweep_seconds=np.array([probe_seconds]),
-                        inner_iterations=np.array([inner], dtype=int),
-                        solve_seconds=time.perf_counter() - started,
-                        warm_started=True,
-                    )
+        left, right = balanced_factors(self._initial_matrix(problem), rank)
 
         history: List[float] = [self._objective(compiled, left, right)]
         sweep_seconds: List[float] = []
@@ -566,7 +473,6 @@ class LoliIrSolver:
             sweep_seconds=np.array(sweep_seconds),
             inner_iterations=np.array(inner_iterations, dtype=int),
             solve_seconds=time.perf_counter() - started,
-            warm_started=False,
         )
 
     # ------------------------------------------------------------------

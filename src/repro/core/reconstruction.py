@@ -47,13 +47,6 @@ class ReconstructionConfig:
         lrr: LRR fit configuration.
         solver: LoLi-IR configuration.
         use_lrr / use_smoothness: Ablation switches for the objective terms.
-        warm_start: Seed each update's LoLi-IR factors from the previous
-            update's solution, skipping the SVD initialization. Pays off in
-            a high-frequency refresh loop (hours between updates), where
-            consecutive problems differ by tiny drift and the old factors
-            sit next to the new optimum; with weeks between updates the
-            fresh LRR-transfer initialization is the better start, so this
-            defaults to off.
     """
 
     reference_count: int = 10
@@ -64,7 +57,6 @@ class ReconstructionConfig:
     solver: LoliIrConfig = field(default_factory=LoliIrConfig)
     use_lrr: bool = True
     use_smoothness: bool = True
-    warm_start: bool = False
 
     def __post_init__(self) -> None:
         if self.reference_count < 1:
@@ -152,7 +144,6 @@ class Reconstructor:
             mask, self._similarity_op.indices, axis=0
         )
         self._solver = LoliIrSolver(config.solver)
-        self._warm_factors = None
 
     # ------------------------------------------------------------------
     # the cheap update
@@ -189,9 +180,7 @@ class Reconstructor:
             )
 
         problem = self._build_problem(reference_matrix, empty_rss)
-        result = self._solver.solve(problem, warm_factors=self._warm_factors)
-        if self.config.warm_start:
-            self._warm_factors = (result.left, result.right)
+        result = self._solver.solve(problem)
         matrix = np.asarray(result.matrix, dtype=float)
         # The reference columns were just measured; trust them exactly.
         matrix[:, self.references.cells] = reference_matrix

@@ -63,6 +63,12 @@ def select_references_pivoted_qr(matrix: np.ndarray, count: int) -> ReferenceSel
     robust realization of "the maximum linearly independent vectors" of the
     matrix: each pivot is the column with the largest residual norm once the
     previously chosen columns are projected out.
+
+    At most ``rank(matrix)`` pivots carry information — at most one per
+    link. When ``count`` exceeds that (10 references on a 5-link
+    ``square-6m`` site), the remaining cells are whatever order LAPACK
+    leaves the unpivoted columns in (cells 5–9 there) and score ``0.0``;
+    they are neither chosen for independence nor spread over the floor.
     """
     matrix = check_matrix("matrix", matrix)
     count = _check_count(count, matrix.shape[1])

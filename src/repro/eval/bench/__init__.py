@@ -1,7 +1,7 @@
 """The gate-section registry package.
 
 Importing this package registers every section in run order —
-``solve``, ``engine``, ``serving``, ``frontend``, ``frontend_async``,
+``engine``, ``serving``, ``frontend``, ``frontend_async``,
 ``resilience``, ``trust``, ``loadgen`` — and re-exports the registry
 functions plus each section's gate run. Each section's ``smoke_gates``
 are the repository's only gate runner: ``benchmarks/bench_perf.py``
@@ -24,7 +24,6 @@ from repro.eval.bench.registry import (
 
 # Importing each module registers its section; the import order here IS
 # the run order.
-from repro.eval.bench.solve import bench_solve
 from repro.eval.bench.engine import bench_engine
 from repro.eval.bench.serving import bench_serving
 from repro.eval.bench.frontend import bench_frontend
@@ -42,7 +41,6 @@ __all__ = [
     "bench_loadgen",
     "bench_resilience",
     "bench_serving",
-    "bench_solve",
     "bench_spec",
     "bench_trust",
     "get_section",

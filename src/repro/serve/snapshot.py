@@ -18,8 +18,7 @@ pipeline state:
   would have (queries draw no collector randomness — matching is
   deterministic — but refreshes do);
 * the interference model's generator state when it does not share the
-  collector's stream, and the solver's warm-start factors when
-  ``warm_start`` is enabled.
+  collector's stream.
 
 The on-disk format is one ``np.savez_compressed`` archive: a UTF-8 JSON
 ``meta`` blob (format version, spec/config/protocol fingerprints, epoch
@@ -120,8 +119,6 @@ class SiteSnapshot:
         interference_rng_state: State of a *separate* interference stream
             (``None`` when the model shares the collector's generator, the
             manager-built default).
-        warm_factors: LoLi-IR warm-start factors ``(left, right)`` or
-            ``None``.
     """
 
     version: int
@@ -135,7 +132,6 @@ class SiteSnapshot:
     collector_rng_state: Dict[str, Any]
     samples_taken: int
     interference_rng_state: Optional[Dict[str, Any]]
-    warm_factors: Optional[tuple]
 
 
 def _sha256(array: np.ndarray) -> str:
@@ -220,7 +216,6 @@ def snapshot_state(
     interference = collector.interference
     if interference is not None and interference._rng is not collector._rng:
         interference_state = interference._rng.bit_generator.state
-    warm = getattr(reconstructor, "_warm_factors", None)
     return SiteSnapshot(
         version=SNAPSHOT_VERSION,
         spec_name=spec_name,
@@ -233,7 +228,6 @@ def snapshot_state(
         collector_rng_state=collector._rng.bit_generator.state,
         samples_taken=int(collector.samples_taken),
         interference_rng_state=interference_state,
-        warm_factors=None if warm is None else (warm[0], warm[1]),
     )
 
 
@@ -258,15 +252,6 @@ def save_snapshot(
                 "empty_sha256": _sha256(epoch.empty_rss),
             }
         )
-    warm_meta = None
-    if snapshot.warm_factors is not None:
-        left, right = snapshot.warm_factors
-        arrays["warm_left"] = np.asarray(left)
-        arrays["warm_right"] = np.asarray(right)
-        warm_meta = {
-            "left_sha256": _sha256(arrays["warm_left"]),
-            "right_sha256": _sha256(arrays["warm_right"]),
-        }
     meta = {
         "format": _MAGIC,
         "version": snapshot.version,
@@ -280,7 +265,6 @@ def save_snapshot(
         "collector_rng_state": snapshot.collector_rng_state,
         "samples_taken": snapshot.samples_taken,
         "interference_rng_state": snapshot.interference_rng_state,
-        "warm": warm_meta,
     }
     meta_text = json.dumps(meta, sort_keys=True)
     envelope = {
@@ -392,17 +376,6 @@ def load_snapshot(path: Union[str, Path]) -> SiteSnapshot:
                 source=str(entry["source"]),
             )
         )
-    warm_factors = None
-    if meta.get("warm") is not None:
-        for key, digest in (
-            ("warm_left", meta["warm"]["left_sha256"]),
-            ("warm_right", meta["warm"]["right_sha256"]),
-        ):
-            if key not in data or _sha256(data[key]) != digest:
-                raise SnapshotError(
-                    f"snapshot {path} warm-start factors failed validation"
-                )
-        warm_factors = (data["warm_left"], data["warm_right"])
     initial_index = int(meta["initial_index"])
     if not 0 <= initial_index < len(epochs):
         raise SnapshotError(
@@ -421,7 +394,6 @@ def load_snapshot(path: Union[str, Path]) -> SiteSnapshot:
         collector_rng_state=meta["collector_rng_state"],
         samples_taken=int(meta["samples_taken"]),
         interference_rng_state=meta.get("interference_rng_state"),
-        warm_factors=warm_factors,
     )
 
 
@@ -432,9 +404,9 @@ def restore_into(system: TafLoc, snapshot: SiteSnapshot) -> TafLoc:
     pipeline exactly as it would for a cold materialization — same scenario
     realization, same derived collector/reconstructor seeds — and this
     function replays the saved state onto it: database epochs, the
-    deterministically rebuilt reconstructor, warm-start factors, and the
-    collector's generator position. No survey is run; restoring costs
-    milliseconds where commissioning costs a full survey plus a solve.
+    deterministically rebuilt reconstructor and the collector's generator
+    position. No survey is run; restoring costs milliseconds where
+    commissioning costs a full survey plus a solve.
     """
     if system.database.epoch_count != 0 or system.reconstructor is not None:
         raise SnapshotError(
@@ -452,11 +424,6 @@ def restore_into(system: TafLoc, snapshot: SiteSnapshot) -> TafLoc:
         system.config.reconstruction,
         seed=system._seed,
     )
-    if snapshot.warm_factors is not None:
-        system.reconstructor._warm_factors = (
-            snapshot.warm_factors[0],
-            snapshot.warm_factors[1],
-        )
     collector = system.collector
     try:
         collector._rng.bit_generator.state = snapshot.collector_rng_state

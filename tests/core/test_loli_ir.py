@@ -122,17 +122,6 @@ class TestSolve:
         assert result.converged
         assert result.iterations < 100
 
-    def test_custom_initialization(self):
-        truth, problem = make_problem()
-        result = LoliIrSolver(LoliIrConfig(rank=3)).solve(problem, initial=truth)
-        # Starting at the truth, the first objective is already near-optimal.
-        assert result.objective_history[0] <= result.objective_history[-1] * 10
-
-    def test_initial_shape_validated(self):
-        _, problem = make_problem()
-        with pytest.raises(ValueError, match="initial shape"):
-            LoliIrSolver().solve(problem, initial=np.zeros((2, 2)))
-
     def test_smoothness_terms_pull_toward_smooth_solutions(self):
         """With continuity active on a pair of unobserved neighbor columns,
         their values end up closer than without the penalty."""

@@ -1,5 +1,5 @@
 """LoLi-IR's solver against a dense least-squares oracle of each
-half-step, its safeguarded extrapolation, and warm-started solves."""
+half-step, and its safeguarded extrapolation."""
 
 import dataclasses
 
@@ -12,10 +12,6 @@ from repro.core.loli_ir import (
     LoliIrSolver,
     _CompiledProblem,
 )
-from repro.core.reconstruction import ReconstructionConfig, Reconstructor
-from repro.core.fingerprint import FingerprintMatrix
-from repro.sim.collector import CollectionProtocol, RssCollector
-from repro.sim.scenario import build_paper_scenario
 
 
 def make_problem(links=8, cells=24, rank=3, observe=0.5, seed=0):
@@ -208,133 +204,3 @@ class TestGramMethod:
         assert first.matrix.tobytes() == second.matrix.tobytes()
         assert first.iterations == second.iterations
 
-
-class TestWarmFactors:
-    def test_warm_factors_reused(self):
-        _, problem = make_problem()
-        solver = LoliIrSolver(LoliIrConfig(rank=3))
-        cold = solver.solve(problem)
-        warm = solver.solve(problem, warm_factors=(cold.left, cold.right))
-        # Restarting at the optimum must terminate almost immediately…
-        assert warm.iterations <= 3
-        # …without degrading the solution.
-        assert warm.final_objective <= cold.final_objective * (1 + 1e-6)
-
-    def test_warm_factors_at_the_optimum_finish_in_one_sweep(self):
-        """With nothing observed the refresh keeps the warm product as it
-        is, so factors at the optimum are accepted after the probe sweep."""
-        smooth = make_smooth_problem()
-        problem = dataclasses.replace(
-            smooth, observed_mask=np.zeros(smooth.shape, dtype=bool)
-        )
-        solver = LoliIrSolver(LoliIrConfig(rank=3))
-        cold = solver.solve(problem)
-        warm = solver.solve(problem, warm_factors=(cold.left, cold.right))
-        assert warm.warm_started
-        assert warm.iterations == 1
-        assert warm.final_objective <= cold.final_objective * (1 + 1e-6)
-
-    def test_unconverged_probe_leaves_the_cold_solve_bit_identical(self, monkeypatch):
-        problem = make_smooth_problem()
-        sweeps = []
-        sweep = LoliIrSolver._sweep
-
-        def counting_sweep(self, *args):
-            sweeps.append(1)
-            return sweep(self, *args)
-
-        monkeypatch.setattr(LoliIrSolver, "_sweep", counting_sweep)
-        stale = LoliIrSolver(LoliIrConfig(rank=3, outer_iterations=2)).solve(problem)
-        solver = LoliIrSolver(LoliIrConfig(rank=3))
-        sweeps.clear()
-        cold = solver.solve(problem)
-        cold_sweeps = len(sweeps)
-        sweeps.clear()
-        warm = solver.solve(problem, warm_factors=(stale.left, stale.right))
-        assert len(sweeps) == cold_sweeps + 1  # the probe ran
-        assert not warm.warm_started
-        for name in ("matrix", "left", "right", "objective_history"):
-            assert getattr(warm, name).tobytes() == getattr(cold, name).tobytes()
-
-    def test_mismatched_warm_factors_ignored(self):
-        _, problem = make_problem()
-        solver = LoliIrSolver(LoliIrConfig(rank=3))
-        bad = (np.zeros((2, 3)), np.zeros((5, 3)))
-        result = solver.solve(problem, warm_factors=bad)
-        assert result.objective_history[-1] <= result.objective_history[0]
-
-    def test_reconstructor_warm_start_quality(self):
-        scenario = build_paper_scenario(seed=77)
-        protocol = CollectionProtocol(samples_per_cell=5, empty_room_samples=8)
-        collector = RssCollector(scenario, protocol, seed=1)
-        survey = collector.collect_full_survey(0.0)
-        initial = FingerprintMatrix(
-            values=survey.survey.matrix, empty_rss=survey.survey.empty_rss
-        )
-
-        def run(warm_start):
-            reconstructor = Reconstructor(
-                scenario.deployment,
-                initial,
-                ReconstructionConfig(warm_start=warm_start),
-                seed=2,
-            )
-            errors = []
-            probe = RssCollector(scenario, protocol, seed=3)
-            for day in (30.0, 30.25, 30.5):
-                refs = probe.collect_survey(day, reconstructor.references.cells)
-                empty = probe.collect_empty_room(day)
-                report = reconstructor.reconstruct(
-                    refs.survey.matrix, empty, day=day
-                )
-                truth = scenario.true_fingerprint_matrix(day)
-                errors.append(
-                    float(np.abs(report.fingerprint.values - truth).mean())
-                )
-            return errors
-
-        cold = run(False)
-        warm = run(True)
-        # Warm starting must not cost reconstruction quality.
-        for c, w in zip(cold, warm):
-            assert w <= c + 0.25
-
-    def test_warm_never_exceeds_cold_iterations(self):
-        """Regression guard for the PR-1 warm-start pathology (warm solves
-        crawling to the sweep cap while cold converged in half the sweeps).
-
-        The probe design makes this structural: a warm solve either finishes
-        in one sweep or replays the cold trajectory, so on every update of
-        the incremental path its outer-iteration count is ≤ the cold one.
-        """
-        scenario = build_paper_scenario(seed=2016)
-        protocol = CollectionProtocol(samples_per_cell=10, empty_room_samples=10)
-        collector = RssCollector(scenario, protocol, seed=1)
-        survey = collector.collect_full_survey(0.0)
-        initial = FingerprintMatrix(
-            values=survey.survey.matrix, empty_rss=survey.survey.empty_rss
-        )
-
-        def run(warm_start):
-            reconstructor = Reconstructor(
-                scenario.deployment,
-                initial,
-                ReconstructionConfig(warm_start=warm_start),
-                seed=2,
-            )
-            probe = RssCollector(scenario, protocol, seed=3)
-            iterations = []
-            # The 6-hourly refresh loop the warm start is built for.
-            for day in (30.0, 30.25, 30.5, 30.75):
-                refs = probe.collect_survey(day, reconstructor.references.cells)
-                empty = probe.collect_empty_room(day)
-                report = reconstructor.reconstruct(
-                    refs.survey.matrix, empty, day=day
-                )
-                iterations.append(report.solver_result.iterations)
-            return iterations
-
-        cold = run(False)
-        warm = run(True)
-        for w, c in zip(warm, cold):
-            assert w <= c, f"warm {warm} exceeded cold {cold}"

@@ -21,7 +21,6 @@ from repro.eval.bench import (
 from tests.serve.conftest import _leak_sanitizer  # noqa: F401
 
 CANONICAL = [
-    "solve",
     "engine",
     "serving",
     "frontend",
@@ -69,8 +68,8 @@ def test_only_unknown_name_rejected():
 
 
 def test_only_filters_sections(stub_runs):
-    report = run_perf_bench(only=["solve"])
-    assert set(report) == {"benchmark", "seed", "environment", "solve"}
+    report = run_perf_bench(only=["engine"])
+    assert set(report) == {"benchmark", "seed", "environment", "engine"}
 
 
 def test_smoke_failures_skips_absent_sections():
@@ -193,7 +192,6 @@ def _passing_records():
         "snapshots_restored": 2,
     }
     return {
-        "solve": {"scenario": site, "warm_le_cold": True},
         "engine": {
             "fig3": {"bit_identical": True},
             "fig5": {"bit_identical": True},
@@ -273,10 +271,10 @@ def _passing_records():
         ("trust", ("degraded", "stale"), False, "stale=False"),
         ("trust", ("snapshot_soak", "files_pruned"), 0, "files_pruned"),
         (
-            "solve",
-            ("warm_le_cold",),
-            False,
-            "warm-start iterations exceed cold",
+            "loadgen",
+            ("perturbation", "quiet", "failed_queries"),
+            1,
+            "quiet perturbation phase",
         ),
         ("engine", ("fig5", "bit_identical"), False, "differ from serial"),
         (
@@ -400,12 +398,6 @@ def _passing_records():
             "post_scrub_bit_identical",
         ),
         ("trust", ("snapshot_soak", "bounded"), False, "unbounded"),
-        (
-            "loadgen",
-            ("perturbation", "quiet", "failed_queries"),
-            1,
-            "quiet perturbation phase",
-        ),
     ],
 )
 def test_each_serving_gate_names_its_field(section, path, value, field):

@@ -34,7 +34,7 @@ def _run_script(argv):
 def tiny_report(tmp_path_factory):
     out = tmp_path_factory.mktemp("bench") / "bench.json"
     code, stdout, _ = _run_script(
-        ["--only", "solve", "--only", "serving", "--out", str(out)]
+        ["--only", "serving", "--out", str(out)]
     )
     return code, json.loads(out.read_text()), stdout
 
@@ -54,13 +54,8 @@ def test_deployment_sizes():
 def test_report_structure(tiny_report):
     code, report, _ = tiny_report
     assert code == 0
-    assert set(report) == {"benchmark", "seed", "environment", "solve", "serving"}
+    assert set(report) == {"benchmark", "seed", "environment", "serving"}
     assert report["environment"]["cpu_count"] >= 1
-    solve = report["solve"]
-    assert solve["scenario"] == "square-3m"
-    assert len(solve["cold_iterations"]) == 4
-    assert len(solve["warm_iterations"]) == 4
-    assert solve["warm_le_cold"] is True
 
 
 def test_serving_section_structure(tiny_report):
@@ -85,29 +80,29 @@ def test_engine_section_bit_identical():
 def test_format_report(tiny_report):
     # The printed report is one verdict line per section run, in order.
     _, _, stdout = tiny_report
-    assert stdout.splitlines() == ["solve: pass", "serving: pass"]
+    assert stdout.splitlines() == ["serving: pass"]
 
 
 def test_failing_gate_writes_report_and_replay_line(tmp_path, monkeypatch):
-    section = registry.get_section("solve")
+    section = registry.get_section("serving")
     monkeypatch.setitem(
         registry._SECTIONS,
-        "solve",
+        "serving",
         dataclasses.replace(
             section,
             run=lambda seed: {"seed": seed},
-            smoke_gates=lambda record: ["solve: gate broke"],
+            smoke_gates=lambda record: ["serving: gate broke"],
         ),
     )
     out = tmp_path / "report.json"
     code, stdout, stderr = _run_script(
-        ["--seed", "7", "--only", "solve", "--out", str(out)]
+        ["--seed", "7", "--only", "serving", "--out", str(out)]
     )
     assert code == 1
-    assert stdout.splitlines() == ["solve: FAIL"]
-    assert "FAIL: solve: gate broke" in stderr
+    assert stdout.splitlines() == ["serving: FAIL"]
+    assert "FAIL: serving: gate broke" in stderr
     assert (
-        "replay with: python benchmarks/bench_perf.py --seed 7 --only solve"
+        "replay with: python benchmarks/bench_perf.py --seed 7 --only serving"
         in stderr
     )
-    assert json.loads(out.read_text())["solve"] == {"seed": 7}
+    assert json.loads(out.read_text())["serving"] == {"seed": 7}

@@ -16,6 +16,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.core.pipeline import TafLocConfig
 from repro.serve.manager import SiteManager
 from repro.serve.snapshot import (
     SNAPSHOT_VERSION,
@@ -189,20 +190,33 @@ class TestRejection:
         fresh.update("site", 5.0)
         _assert_epochs_identical(rebuilt, twin)
 
-    def test_protocol_mismatch_is_rejected(self, tmp_path):
+    def _assert_mismatch_rejected_and_rebuilt(self, tmp_path, **overrides):
+        """Same pipeline key + seed -> same path, but a fingerprint in
+        ``overrides`` differs, so the restore must refuse the snapshot and
+        rebuild cold to exactly a fresh build's bits."""
         self._seed_snapshot(tmp_path)
-        other = _manager(
-            tmp_path,
-            protocol=CollectionProtocol(
-                samples_per_cell=3, empty_room_samples=5
-            ),
-        )
+        other = _manager(tmp_path, **overrides)
         other.register("site", "square-3m")
-        other.pipeline("site")
-        # Same pipeline key + seed -> same path, but the protocol
-        # fingerprint differs, so the restore must refuse it.
+        rebuilt = other.pipeline("site")
         assert other.stats.snapshots_rejected == 1
         assert other.stats.snapshots_restored == 0
+
+        fresh = _manager(None, **overrides)  # no snapshot directory
+        fresh.register("site", "square-3m")
+        _assert_epochs_identical(rebuilt, fresh.pipeline("site"))
+
+    def test_protocol_mismatch_is_rejected(self, tmp_path):
+        self._assert_mismatch_rejected_and_rebuilt(
+            tmp_path,
+            protocol=CollectionProtocol(samples_per_cell=3, empty_room_samples=5),
+        )
+
+    def test_config_mismatch_is_rejected(self, tmp_path):
+        """A snapshot written under another ``TafLocConfig`` (any snapshot
+        from before a config field was added or removed) rebuilds cold."""
+        self._assert_mismatch_rejected_and_rebuilt(
+            tmp_path, config=TafLocConfig(knn_k=4)
+        )
 
     def test_different_seed_never_sees_the_snapshot(self, tmp_path):
         self._seed_snapshot(tmp_path)

@@ -83,8 +83,8 @@ def test_gate_sections_counts_a_bare_run_as_every_section():
     sections = _gate_sections(
         [
             "python benchmarks/bench_perf.py --out x.json",
-            "python benchmarks/bench_perf.py --only solve",
+            "python benchmarks/bench_perf.py --only loadgen",
             "python -m pytest perfbench -q",
         ]
     )
-    assert Counter(sections) == Counter(section_names() + ["solve"])
+    assert Counter(sections) == Counter(section_names() + ["loadgen"])

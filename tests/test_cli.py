@@ -105,6 +105,9 @@ class TestParser:
              "--slo-ms", "50", "--sites", "8", "--zipf-s", "1.2"],
             ["loadgen", "--arrival", "closed", "--clients", "4",
              "--think-s", "0.001", "--transport", "aio"],
+            # The end-to-end benchmark's server command line
+            # (perfbench/procs.py).
+            ["serve", "--transport", "aio", "--listen", "127.0.0.1:0"],
         ],
     )
     def test_commands_parse(self, argv):
