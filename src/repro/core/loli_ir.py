@@ -33,13 +33,18 @@ per-row curvature. The CG iterate is a ``(k, rows)`` array, so every block
 product is one contiguous ``einsum`` over the rows, and the preconditioner's
 block inverses come from one batched Cholesky factorization and a ``k``-step
 vectorized inversion of its factor (:func:`_spd_block_inverse`): no LAPACK or
-BLAS call per ``k×k`` block. The smoothness operators reach the iterate as
-``kron(I_k, ·)``, one CSR matvec per application with no transpose copy.
+BLAS call per ``k×k`` block. The smoothness operators reach the iterate
+through its flat rows, one gather per application with no transpose copy.
 Without a coupling term (the objective ablations) the rows are independent
 and are solved closed-form in one batched ``k×k`` dense solve.
 
-The smoothness operators ``G``/``H`` stay ``scipy.sparse`` CSR throughout: an
-application costs ``O(links·pairs)``, and no update densifies them.
+The smoothness operators ``G``/``H`` are ±1 pair incidences held as their
+pair ends (:class:`~repro.core.operators.PairOperator`): applying one is a
+gather ``x[..., b] − x[..., a]``, its adjoint a gather-and-add of each
+node's terms, at ``O(rows·pairs)`` each, and no update densifies them. Each
+product equals, bit for bit, the same product with the operator as a
+canonical CSR matrix: the sums add the same terms from 0.0 in the same
+order, which keeps the solve's bits independent of the representation.
 
 Following the paper, the factors are initialized from an SVD of a rough
 completion (``X̂₀ = UΣVᵀ, L = UΣ^{1/2}, R = VΣ^{1/2}``).
@@ -52,9 +57,9 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
-from scipy.sparse import csr_array, issparse
 
 from repro.core.completion import mean_fill
+from repro.core.operators import PairOperator
 from repro.util.linalg import balanced_factors, conjugate_gradient
 from repro.util.validation import check_matrix, check_positive
 
@@ -160,16 +165,16 @@ class LoliIrProblem:
         similarity_op: ``H``, shape ``(pairs_h, links)``.
         similarity_weights: ``W_h``, shape ``(pairs_h, cells)``.
 
-    The operators may be given dense or sparse; they are stored as
-    ``scipy.sparse.csr_array`` (a dense one is converted once, here).
+    The operators may be given as :class:`PairOperator` or as dense ±1
+    incidence matrices; a dense one is converted once, here.
     """
 
     observed_mask: np.ndarray
     observed_values: np.ndarray
     lrr_target: Optional[np.ndarray] = None
-    continuity_op: Optional[csr_array] = None
+    continuity_op: Optional[PairOperator] = None
     continuity_weights: Optional[np.ndarray] = None
-    similarity_op: Optional[csr_array] = None
+    similarity_op: Optional[PairOperator] = None
     similarity_weights: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
@@ -193,7 +198,7 @@ class LoliIrProblem:
         if (self.continuity_op is None) != (self.continuity_weights is None):
             raise ValueError("continuity_op and continuity_weights come together")
         if self.continuity_op is not None:
-            g = _as_csr("continuity_op", self.continuity_op)
+            g = _operator_input("continuity_op", self.continuity_op)
             w = check_matrix(
                 "continuity_weights", self.continuity_weights, allow_empty=True
             )
@@ -206,12 +211,12 @@ class LoliIrProblem:
                     f"continuity_weights shape {w.shape} must be "
                     f"({links}, {g.shape[1]})"
                 )
-            self.continuity_op = g
+            self.continuity_op = _as_pairs("continuity_op", g, pair_axis=1)
             self.continuity_weights = w
         if (self.similarity_op is None) != (self.similarity_weights is None):
             raise ValueError("similarity_op and similarity_weights come together")
         if self.similarity_op is not None:
-            h = _as_csr("similarity_op", self.similarity_op)
+            h = _operator_input("similarity_op", self.similarity_op)
             w = check_matrix(
                 "similarity_weights", self.similarity_weights, allow_empty=True
             )
@@ -224,7 +229,7 @@ class LoliIrProblem:
                     f"similarity_weights shape {w.shape} must be "
                     f"({h.shape[0]}, {cells})"
                 )
-            self.similarity_op = h
+            self.similarity_op = _as_pairs("similarity_op", h, pair_axis=0)
             self.similarity_weights = w
 
     @property
@@ -232,11 +237,18 @@ class LoliIrProblem:
         return self.observed_values.shape
 
 
-def _as_csr(name: str, operator) -> csr_array:
-    """A smoothness operator as a float CSR matrix (dense input converted)."""
-    if not issparse(operator):
-        operator = check_matrix(name, operator, allow_empty=True)
-    return csr_array(operator, dtype=float)
+def _operator_input(name: str, operator):
+    """A smoothness operator as given: a :class:`PairOperator`, or a dense
+    matrix checked for its shape."""
+    if isinstance(operator, PairOperator):
+        return operator
+    return check_matrix(name, operator, allow_empty=True)
+
+
+def _as_pairs(name: str, operator, pair_axis: int) -> PairOperator:
+    if isinstance(operator, PairOperator):
+        return operator
+    return PairOperator.from_dense(name, operator, pair_axis)
 
 
 def _outer_rows(matrix: np.ndarray) -> np.ndarray:
@@ -246,25 +258,6 @@ def _outer_rows(matrix: np.ndarray) -> np.ndarray:
     rank-one Gram blocks becomes one GEMM: ``W @ _outer_rows(X)``.
     """
     return (matrix[:, :, None] * matrix[:, None, :]).reshape(matrix.shape[0], -1)
-
-
-def _repeat_diagonal(operator: csr_array, copies: int) -> csr_array:
-    """``kron(I_copies, operator)`` as CSR, built from ``operator``'s arrays.
-
-    Applied to a C-ordered ``(copies, n)`` array raveled, it multiplies
-    every row by ``operator`` in one CSR matvec: the batch-last CG iterate
-    goes through the smoothness operators with no transpose copy.
-    """
-    rows, columns = operator.shape
-    offsets = np.arange(copies)[:, None]
-    indptr = np.concatenate(
-        ([0], (operator.indptr[1:] + operator.nnz * offsets).ravel())
-    )
-    indices = (operator.indices + columns * offsets).ravel()
-    data = np.tile(operator.data, copies)
-    return csr_array(
-        (data, indices, indptr), shape=(copies * rows, copies * columns)
-    )
 
 
 def _block_products(blocks: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -292,23 +285,115 @@ def _spd_block_inverse(blocks: np.ndarray) -> np.ndarray:
     return np.einsum("ian,ibn->abn", inverse, inverse)
 
 
+class _PairEnds:
+    """A pair operator's ends, indexed for the solver's products.
+
+    A gather is ``x[..., b] − x[..., a]``; ``a_rows`` / ``b_rows`` offset
+    the ends for each row of a flat, C-ordered ``(k, nodes)`` iterate. The
+    adjoint scatter is a gather too: :func:`_node_slots` lists each node's
+    pairs in pair order, slot ``j`` holding every node's ``j``-th pair and
+    its sign (``+1`` at the ``b`` end, ``−1`` at the ``a`` end, ``0`` past
+    the node's last pair). Summing the signed slots in order from 0.0 adds
+    each node's terms as a CSR matvec does, so the sums are the same bits.
+    """
+
+    def __init__(self, operator: PairOperator, rank: int) -> None:
+        self.a, self.b = operator.a, operator.b
+        pairs = len(self.a)
+        nodes = operator.shape[1 - operator.pair_axis]
+        row = np.arange(rank)[:, None]
+        self.a_rows = self.a + nodes * row
+        self.b_rows = self.b + nodes * row
+        self.slots, self.signs = _node_slots(self.a, self.b, nodes)
+        # A slot past a node's last pair points one past the last pair: at
+        # the zero row of the squared scatter's staging array, and (clipped
+        # to a real pair, weighted by a 0 sign) nowhere in the scatter.
+        self.slot_rows = np.minimum(self.slots, pairs - 1)[:, None, :] + pairs * row
+        # The squared scatter stages its operand pair-first here; fresh
+        # staging arrays cost more in page faults than the gathers.
+        self._by_pair = np.zeros((pairs + 1, rank * rank))
+        self._by_node = np.empty((nodes, rank * rank))
+
+    def gather(self, by_node: np.ndarray) -> np.ndarray:
+        """Per-pair differences of the rows of ``by_node``: ``(nodes, …) ->
+        (P, …)``."""
+        differences = by_node.take(self.b, axis=0)
+        differences -= by_node.take(self.a, axis=0)
+        return _signless(differences)
+
+    def gather_rows(self, rows: np.ndarray) -> np.ndarray:
+        """``(k, nodes) -> (k, P)``, through the flat row offsets."""
+        flat = rows.ravel()
+        differences = flat.take(self.b_rows)
+        differences -= flat.take(self.a_rows)
+        return _signless(differences)
+
+    def scatter_rows(self, values: np.ndarray) -> np.ndarray:
+        """The adjoint of :meth:`gather_rows`: ``(k, P) -> (k, nodes)``."""
+        terms = values.ravel().take(self.slot_rows)
+        # einsum sums the slot axis in order, from a zeroed output.
+        return np.einsum("jkn,jn->kn", terms, self.signs)
+
+    def sq_rows(self, values: np.ndarray) -> np.ndarray:
+        """The unsigned scatter (the squared operator): ``(k*k, P) ->
+        (k*k, nodes)``.
+
+        Pair first inside, so each slot gathers whole contiguous rows; the
+        sums come back as a transposed view.
+        """
+        pairs = values.shape[1]
+        np.copyto(self._by_pair[:pairs], values.T)
+        sums = self._by_pair.take(self.slots[0], axis=0)
+        for slot in self.slots[1:]:
+            # mode="clip": the slots are in range by construction, and the
+            # default "raise" copies ``out`` before it writes to it.
+            terms = self._by_pair.take(slot, axis=0, out=self._by_node, mode="clip")
+            sums += terms
+        return _signless(sums).T
+
+
+def _node_slots(a: np.ndarray, b: np.ndarray, nodes: int):
+    """Each node's pairs in pair order, and their signs, both ``(max degree,
+    nodes)``: pair ``p`` with ``+1`` where the node is its ``b`` end and
+    ``−1`` where it is its ``a`` end; past the node's last pair, ``len(a)``
+    with sign 0."""
+    pairs = len(a)
+    ends = np.stack([a, b], axis=1).ravel()  # a₀ b₀ a₁ b₁ …
+    order = np.argsort(ends, kind="stable")  # by node, pair order kept
+    degree = np.bincount(ends, minlength=nodes)
+    level = np.arange(2 * pairs) - np.repeat(np.cumsum(degree) - degree, degree)
+    slots = np.full((degree.max(), nodes), pairs)
+    signs = np.zeros(slots.shape)
+    slots[level, ends[order]] = order // 2
+    signs[level, ends[order]] = np.where(order % 2 == 1, 1.0, -1.0)
+    return slots, signs
+
+
+def _signless(array: np.ndarray) -> np.ndarray:
+    """``+0.0`` for ``-0.0``, in place. A CSR product sums from ``+0.0`` and
+    so never returns ``-0.0``; ``x[b] − x[a]`` can, and so can a sum that
+    starts from its first term. Past that, the two agree bit for bit: they
+    differ only while every term so far is a zero."""
+    array += 0.0
+    return array
+
+
 class _CompiledProblem:
     """Per-solve cache of everything the half-step solves touch repeatedly.
 
-    The raw :class:`LoliIrProblem` already holds the smoothness operators as
-    CSR, so nothing here is densified. This cache derives, once per solve:
+    The raw :class:`LoliIrProblem` holds the smoothness operators as pair
+    ends, so nothing here is densified. This cache derives, once per solve:
 
-    * the CSR transposes ``Gᵀ``/``Hᵀ`` — every application of a difference
-      operator costs ``O(links·pairs)``;
-    * the squared operators ``G∘G`` / ``H∘H`` (CSR) and squared gate weights
-      ``W²`` — the fixed quadratic structure from which the half-steps
-      assemble their per-row normal-equation blocks and the exact diagonal of
-      the coupling terms (for the block-Cholesky CG preconditioner);
+    * each operator's :class:`_PairEnds` — its pair ends, their flat
+      per-row-offset copies and each node's slots, which take a batch-last
+      ``(k, rows)`` CG iterate through the operator or its adjoint, and a
+      ``(k*k, P)`` block stack through its square ``G∘G`` / ``H∘H``;
+    * the squared gate weights ``W²`` — the fixed quadratic structure from
+      which the half-steps assemble their per-row normal-equation blocks and
+      the exact diagonal of the coupling terms (for the block-Cholesky CG
+      preconditioner);
     * the observation mask as a float matrix (GEMM operand for the per-row
-      observed Gram ``Rᵀ diag(B_i) R``) and the right-hand-side matrix;
-    * ``kron(I_k, ·)`` copies of ``Gᵀ``/``G``/``H``/``Hᵀ``, which apply an
-      operator to every row of a batch-last ``(k, rows)`` CG iterate in one
-      matvec (see :func:`_repeat_diagonal`).
+      observed Gram ``Rᵀ diag(B_i) R``) and the right-hand-side matrix.
     """
 
     def __init__(
@@ -333,11 +418,7 @@ class _CompiledProblem:
             weights = problem.continuity_weights
             self.continuity_weights = weights
             self.continuity_weights_sq = weights * weights
-            self._g = problem.continuity_op
-            self._gt = self._g.T.tocsr()
-            self._g_sq = self._g.power(2)
-            self._g_gather_rows = _repeat_diagonal(self._gt, rank)
-            self._g_scatter_rows = _repeat_diagonal(self._g, rank)
+            self._g = _PairEnds(problem.continuity_op, rank)
 
         self.similarity_weights: Optional[np.ndarray] = None
         self.similarity_weights_sq: Optional[np.ndarray] = None
@@ -349,11 +430,7 @@ class _CompiledProblem:
             weights = problem.similarity_weights
             self.similarity_weights = weights
             self.similarity_weights_sq = weights * weights
-            self._h = problem.similarity_op
-            self._ht = self._h.T.tocsr()
-            self._h_sq_t = self._ht.power(2)
-            self._h_gather_rows = _repeat_diagonal(self._h, rank)
-            self._h_scatter_rows = _repeat_diagonal(self._ht, rank)
+            self._h = _PairEnds(problem.similarity_op, rank)
 
         # d(objective)/dX̂ right-hand side, computed once per solve.
         rhs = config.observed_weight * np.where(
@@ -366,50 +443,44 @@ class _CompiledProblem:
     # -- operator applications ----------------------------------------
     def apply_g(self, matrix: np.ndarray) -> np.ndarray:
         """``matrix @ G`` (column differences across cell pairs)."""
-        return (self._gt @ matrix.T).T
+        return self._g.gather(np.ascontiguousarray(matrix.T)).T
 
     def apply_h(self, matrix: np.ndarray) -> np.ndarray:
         """``H @ matrix`` (row differences across link pairs)."""
-        return self._h @ matrix
+        return self._h.gather(matrix)
 
     # -- Gram-structure applications ----------------------------------
     # The coupled half-steps work batch last: an iterate is a C-ordered
     # ``(k, rows)`` array and a block stack is ``(k*k, rows)``.
     def g_gather(self, factor: np.ndarray) -> np.ndarray:
         """``Gᵀ @ factor``: per-pair differences of R-factor rows, (P, k)."""
-        return self._gt @ factor
+        return self._g.gather(factor)
 
     def g_gather_last(self, iterate: np.ndarray) -> np.ndarray:
         """``iterate @ G``, batch last: ``(k, cells) -> (k, P)``."""
-        return _rows_through(self._g_gather_rows, iterate)
+        return self._g.gather_rows(iterate)
 
     def g_scatter_last(self, pairs: np.ndarray) -> np.ndarray:
         """``pairs @ Gᵀ``, the adjoint scatter: ``(k, P) -> (k, cells)``."""
-        return _rows_through(self._g_scatter_rows, pairs)
+        return self._g.scatter_rows(pairs)
 
     def h_gather_last(self, iterate: np.ndarray) -> np.ndarray:
         """``iterate @ Hᵀ``, batch last: ``(k, links) -> (k, Q)``."""
-        return _rows_through(self._h_gather_rows, iterate)
+        return self._h.gather_rows(iterate)
 
     def h_scatter_last(self, pairs: np.ndarray) -> np.ndarray:
         """``pairs @ H``, the adjoint scatter: ``(k, Q) -> (k, links)``."""
-        return _rows_through(self._h_scatter_rows, pairs)
+        return self._h.scatter_rows(pairs)
 
     def g_sq_diag(self, pair_blocks: np.ndarray) -> np.ndarray:
         """Exact cell-diagonal of the continuity coupling, batch last:
         ``S (G∘G)ᵀ`` for ``S`` of shape ``(k*k, P)``."""
-        return (self._g_sq @ pair_blocks.T).T
+        return self._g.sq_rows(pair_blocks)
 
     def h_sq_diag(self, pair_blocks: np.ndarray) -> np.ndarray:
         """Exact link-diagonal of the similarity coupling, batch last:
         ``S (H∘H)`` for ``S`` of shape ``(k*k, Q)``."""
-        return (self._h_sq_t @ pair_blocks.T).T
-
-
-def _rows_through(repeated: csr_array, rows: np.ndarray) -> np.ndarray:
-    """Each row of a C-ordered ``rows`` times the operator that a
-    :func:`_repeat_diagonal` matrix repeats, in one matvec."""
-    return (repeated @ rows.ravel()).reshape(rows.shape[0], -1)
+        return self._h.sq_rows(pair_blocks)
 
 
 class LoliIrSolver:

@@ -13,11 +13,11 @@ largely-distorted entries ``X_D``:
   (one location), adjacent links see similar RSS. ``H`` acts on the left,
   differencing the rows of spatially adjacent link pairs.
 
-Both are incidence matrices with two nonzeros per pair, so they are built
-directly as canonical ``scipy.sparse.csr_array`` matrices — sorted indices,
-no duplicates, the same ``indptr``/``indices``/``data`` as ``csr_array`` of
-the dense definition — and stay sparse through the solve. Call
-``.toarray()`` where dense math is wanted.
+Both are incidence operators with one ``-1`` and one ``+1`` per pair, so
+they are held as :class:`PairOperator` — the two ends of every pair, in pair
+order — and a product with one is a gather (``x[..., b] − x[..., a]``) or
+its adjoint scatter, never a matrix product. Call ``.toarray()`` where the
+dense matrix is wanted.
 """
 
 from __future__ import annotations
@@ -25,13 +25,59 @@ from __future__ import annotations
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.sparse import csr_array
 
 from repro.sim.deployment import Deployment
 from repro.sim.geometry import Grid
 
 
-def continuity_operator(grid: Grid) -> csr_array:
+class PairOperator:
+    """A ±1 pair-incidence operator, held as the two ends of each pair.
+
+    Pair ``p`` takes ``b[p]`` (its ``+1`` end) minus ``a[p]`` (its ``-1``
+    end), in the given pair order. ``pair_axis`` is the axis of ``shape``
+    that runs over the pairs: 1 for ``G`` (cells × pairs, applied on the
+    right), 0 for ``H`` (pairs × links, applied on the left).
+    """
+
+    def __init__(
+        self, a: np.ndarray, b: np.ndarray, shape: Tuple[int, int], pair_axis: int
+    ) -> None:
+        self.a = np.asarray(a, dtype=np.intp)
+        self.b = np.asarray(b, dtype=np.intp)
+        self.shape = (int(shape[0]), int(shape[1]))
+        self.pair_axis = pair_axis
+
+    @classmethod
+    def from_dense(
+        cls, name: str, matrix: np.ndarray, pair_axis: int
+    ) -> "PairOperator":
+        """The operator of a dense incidence matrix: one ``-1`` and one
+        ``+1`` per pair, zeros elsewhere."""
+        by_pair = matrix if pair_axis == 0 else matrix.T
+        minus, plus = by_pair == -1.0, by_pair == 1.0
+        if not np.all(
+            (minus.sum(axis=1) == 1)
+            & (plus.sum(axis=1) == 1)
+            & (np.count_nonzero(by_pair, axis=1) == 2)
+        ):
+            raise ValueError(f"{name} must hold one -1 and one +1 per pair")
+        return cls(minus.argmax(axis=1), plus.argmax(axis=1), matrix.shape, pair_axis)
+
+    @property
+    def pairs(self) -> np.ndarray:
+        """``(P, 2)`` array of each pair's ``(a, b)`` ends."""
+        return np.stack([self.a, self.b], axis=1)
+
+    def toarray(self) -> np.ndarray:
+        dense = np.zeros(self.shape)
+        by_pair = dense if self.pair_axis == 0 else dense.T
+        index = np.arange(len(self.a))
+        by_pair[index, self.a] = -1.0
+        by_pair[index, self.b] = 1.0
+        return dense
+
+
+def continuity_operator(grid: Grid) -> PairOperator:
     """Column-difference operator ``G`` of shape ``(cells, pairs)``.
 
     ``(X @ G)[:, p]`` is the RSS difference across the ``p``-th pair of
@@ -40,15 +86,16 @@ def continuity_operator(grid: Grid) -> csr_array:
     neighbor locations along a particular link are continuous".
     """
     pairs = _pair_array(_adjacent_cell_pairs(grid))
-    index, ends, data = _incidence_entries(pairs)
-    return csr_array((data, (ends, index)), shape=(grid.cell_count, len(pairs)))
+    return PairOperator(
+        pairs[:, 0], pairs[:, 1], (grid.cell_count, len(pairs)), pair_axis=1
+    )
 
 
 def similarity_operator(
     deployment: Deployment,
     *,
     pairs: Optional[Sequence[Tuple[int, int]]] = None,
-) -> csr_array:
+) -> PairOperator:
     """Row-difference operator ``H`` of shape ``(pairs, links)``.
 
     ``(H @ X)[p, :]`` is the RSS difference between the ``p``-th pair of
@@ -64,9 +111,11 @@ def similarity_operator(
     if bad.any():
         pair = tuple(link_pairs[bad.argmax()].tolist())
         raise ValueError(f"link pair {pair} out of range or degenerate")
-    index, ends, data = _incidence_entries(link_pairs)
-    return csr_array(
-        (data, (index, ends)), shape=(len(link_pairs), deployment.link_count)
+    return PairOperator(
+        link_pairs[:, 0],
+        link_pairs[:, 1],
+        (len(link_pairs), deployment.link_count),
+        pair_axis=0,
     )
 
 
@@ -92,16 +141,7 @@ def masked_pair_weights(
 
 
 def _pair_array(pairs) -> np.ndarray:
-    # int32 indices: the index dtype csr_array picks for a dense matrix.
-    return np.asarray(pairs, dtype=np.int32).reshape(-1, 2)
-
-
-def _incidence_entries(pairs: np.ndarray):
-    """COO entries of a pair-incidence operator: ``-1`` at the first end and
-    ``+1`` at the second end of every pair (``csr_array`` sorts them)."""
-    index = np.repeat(np.arange(len(pairs), dtype=np.int32), 2)
-    data = np.tile([-1.0, 1.0], len(pairs))
-    return index, pairs.ravel(), data
+    return np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
 
 
 def _adjacent_cell_pairs(grid: Grid) -> list:

@@ -131,17 +131,17 @@ class Reconstructor:
             undistorted_threshold_db=config.undistorted_threshold_db,
             distorted_threshold_db=config.distorted_threshold_db,
         )
-        # G and H stay CSR from birth to solve. A pair's two nonzeros are
-        # its ends; W_g / W_h gate each pair to the entries where both ends
-        # are largely distorted — only there does property iii apply.
+        # G and H stay pair ends from birth to solve. W_g / W_h gate each
+        # pair to the entries where both ends are largely distorted — only
+        # there does property iii apply.
         self._continuity_op = continuity_operator(deployment.grid)
         self._similarity_op = similarity_operator(deployment)
         mask = self.profile.largely_distorted
         self._continuity_weights = masked_pair_weights(
-            mask, self._continuity_op.tocsc().indices, axis=1
+            mask, self._continuity_op.pairs, axis=1
         )
         self._similarity_weights = masked_pair_weights(
-            mask, self._similarity_op.indices, axis=0
+            mask, self._similarity_op.pairs, axis=0
         )
         self._solver = LoliIrSolver(config.solver)
 

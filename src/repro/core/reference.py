@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict
 
 import numpy as np
-import scipy.linalg
 
 from repro.util.rng import RandomState, as_generator
 from repro.util.validation import check_matrix
@@ -66,31 +65,75 @@ def select_references_pivoted_qr(matrix: np.ndarray, count: int) -> ReferenceSel
 
     At most ``rank(matrix)`` pivots carry information — at most one per
     link. When ``count`` exceeds that (10 references on a 5-link
-    ``square-6m`` site), the remaining cells are whatever order LAPACK
-    leaves the unpivoted columns in (cells 5–9 there) and score ``0.0``;
-    they are neither chosen for independence nor spread over the floor.
+    ``square-6m`` site), the remaining cells are whatever order the pivoting
+    swaps leave the unpivoted columns in (cells 5–9 there, as with LAPACK)
+    and score ``0.0``; they are neither chosen for independence nor spread
+    over the floor.
     """
     matrix = check_matrix("matrix", matrix)
     count = _check_count(count, matrix.shape[1])
     # Centering removes the large common offset (all RSS near e.g. -45 dBm)
     # so pivoting responds to fingerprint *structure*, not the shared mean.
     centered = matrix - matrix.mean(axis=1, keepdims=True)
-    _, r, piv = scipy.linalg.qr(centered, mode="economic", pivoting=True)
-    cells = piv[:count]
-    diag = np.abs(np.diag(r))
-    scores = diag[: len(cells)] if diag.size >= len(cells) else np.pad(
-        diag, (0, len(cells) - diag.size)
-    )
-    return ReferenceSelection(cells=cells, scores=scores[:count], strategy="pivoted_qr")
+    pivots, diag = _pivoted_qr(centered)
+    cells = pivots[:count]
+    scores = np.pad(np.abs(diag), (0, max(0, count - diag.size)))[:count]
+    return ReferenceSelection(cells=cells, scores=scores, strategy="pivoted_qr")
+
+
+def _pivoted_qr(matrix: np.ndarray):
+    """Householder QR with column pivoting: the column order and ``diag(R)``.
+
+    A port of LAPACK's unblocked ``dlaqp2``, the path ``dgeqp3`` takes
+    while ``min(rows, columns)`` is within its 32-column block size (a
+    site's ``links`` is), with its column-swap bookkeeping and its rule for
+    when a downdated column norm is recomputed (``tol3z``, LAPACK Working
+    Note 176). After ``min(rows, columns)`` steps the remaining columns stay
+    in the order the swaps left them.
+    """
+    a = np.array(matrix, dtype=float)
+    rows, columns = a.shape
+    order = np.arange(columns)
+    norms = np.linalg.norm(a, axis=0)
+    exact = norms.copy()  # each norm when last computed in full
+    tol3z = np.sqrt(np.finfo(float).eps)
+    diag = np.zeros(min(rows, columns))
+    for i in range(diag.size):
+        pivot = i + int(np.argmax(norms[i:]))
+        if pivot != i:
+            a[:, [i, pivot]] = a[:, [pivot, i]]
+            order[[i, pivot]] = order[[pivot, i]]
+            norms[pivot], exact[pivot] = norms[i], exact[i]
+        # Reflector H = I − τ v vᵀ taking a[i:, i] to (β, 0, …, 0).
+        alpha, tail = a[i, i], a[i + 1 :, i]
+        tail_norm = np.linalg.norm(tail)
+        diag[i] = alpha
+        if tail_norm > 0.0:
+            beta = -np.copysign(np.hypot(alpha, tail_norm), alpha)
+            v = np.concatenate(([1.0], tail / (alpha - beta)))
+            rest = a[i:, i + 1 :]
+            rest -= ((beta - alpha) / beta) * np.outer(v, v @ rest)
+            diag[i] = beta
+        # Downdate the remaining norms; recompute the ones that lost too much.
+        live = i + 1 + np.flatnonzero(norms[i + 1 :])
+        ratio = np.maximum(1.0 - (np.abs(a[i, live]) / norms[live]) ** 2, 0.0)
+        stale = ratio * (norms[live] / exact[live]) ** 2 <= tol3z
+        norms[live] *= np.sqrt(ratio)
+        redo = live[stale]
+        norms[redo] = np.linalg.norm(a[i + 1 :, redo], axis=0)
+        exact[redo] = norms[redo]
+    return order, diag
 
 
 def select_references_greedy(matrix: np.ndarray, count: int) -> ReferenceSelection:
     """Greedy column selection by maximum residual after projection.
 
-    Mathematically the same criterion as pivoted QR but implemented as an
-    explicit greedy loop; kept as an independently coded cross-check (the
-    ablation test asserts the two agree on easy instances) and as a template
-    for custom scoring rules.
+    The same criterion as pivoted QR up to the matrix's numerical rank,
+    implemented as an explicit greedy loop; kept as an independently coded
+    cross-check (the ablation test asserts the two agree on easy instances)
+    and as a template for custom scoring rules. It stops at the numerical
+    rank, so where ``count`` exceeds it, it returns fewer cells than asked,
+    and pivoted QR's leftover cells have no greedy counterpart.
     """
     matrix = check_matrix("matrix", matrix)
     count = _check_count(count, matrix.shape[1])

@@ -1,17 +1,16 @@
 """The batch-last kernels of the coupled LoLi-IR half-steps against numpy's
 reference routines: the SPD block inverse against ``np.linalg.inv``, the
-block product against a stacked ``matmul``, and the repeated-diagonal
-operator against ``scipy.sparse.kron``."""
+block product against a stacked ``matmul``, and the batch-last pair
+products against ``scipy.sparse.kron`` of the identity. The products of
+random pair operators are checked bit for bit against ``scipy.sparse`` in
+``tests/property/test_sparse_operators.py``."""
 
 import numpy as np
 import pytest
-from scipy.sparse import csr_array, identity, kron, random_array
+from scipy.sparse import identity, kron
 
-from repro.core.loli_ir import (
-    _block_products,
-    _repeat_diagonal,
-    _spd_block_inverse,
-)
+from repro.core.loli_ir import _block_products, _PairEnds, _spd_block_inverse
+from repro.core.operators import PairOperator
 
 #: Ranks 1…6; 5 is ``square-6m``'s rank, 6 the default.
 RANKS = range(1, 7)
@@ -78,13 +77,21 @@ def test_a_block_that_is_not_spd_raises(k):
 
 @pytest.mark.parametrize("copies", (1, 2, 6))
 def test_repeat_diagonal_is_kron_of_the_identity(copies):
-    operator = csr_array(
-        random_array((7, 11), density=0.3, rng=np.random.default_rng(copies))
-    )
-    repeated = _repeat_diagonal(operator, copies)
-    expected = kron(identity(copies), operator)
-    np.testing.assert_array_equal(repeated.toarray(), expected.toarray())
+    """A batch-last gather over ``copies`` rows is ``kron(I, op)`` applied to
+    the flat rows, and its scatter is the transpose."""
+    rng = np.random.default_rng(copies)
+    a = rng.integers(0, 11, size=7)
+    b = (a + rng.integers(1, 11, size=7)) % 11
+    operator = PairOperator(a, b, (7, 11), 0)
+    pair_ends = _PairEnds(operator, copies)
+    expected = kron(identity(copies), operator.toarray()).toarray()
+    unit_rows = np.eye(copies * 11).reshape(-1, copies, 11)
+    repeated = np.stack([pair_ends.gather_rows(row).ravel() for row in unit_rows], 1)
+    np.testing.assert_array_equal(repeated, expected)
     rows = np.random.default_rng(0).standard_normal((copies, 11))
+    np.testing.assert_allclose(pair_ends.gather_rows(rows), rows @ operator.toarray().T)
+    pairs = np.random.default_rng(1).standard_normal((copies, 7))
     np.testing.assert_allclose(
-        (repeated @ rows.ravel()).reshape(copies, -1), rows @ operator.T.toarray()
+        pair_ends.scatter_rows(pairs),
+        (expected.T @ pairs.ravel()).reshape(copies, -1),
     )

@@ -1,7 +1,7 @@
 """Unit tests for the continuity (G) and similarity (H) operators.
 
-The operators are CSR matrices; the unit tests check their dense form
-(``.toarray()``) against the paper's definitions.
+The operators hold each pair's two ends; the unit tests check their dense
+form (``.toarray()``) against the paper's definitions.
 """
 
 import numpy as np
@@ -101,7 +101,7 @@ class TestMaskedPairWeights:
         mask[0, 1] = True  # cells 0-1 are horizontal neighbors
         mask[1, 0] = True  # link 1 has only cell 0 → no active pair
         g = continuity_operator(small_grid).toarray()
-        pairs = continuity_operator(small_grid).tocsc().indices
+        pairs = continuity_operator(small_grid).pairs
         weights = masked_pair_weights(mask, pairs, axis=1)
         # Find the pair column for (0, 1).
         pair_idx = next(
@@ -118,6 +118,6 @@ class TestMaskedPairWeights:
 
     def test_all_masked_gives_all_pairs(self, small_grid):
         mask = np.ones((1, 6), dtype=bool)
-        pairs = continuity_operator(small_grid).tocsc().indices
+        pairs = continuity_operator(small_grid).pairs
         weights = masked_pair_weights(mask, pairs, axis=1)
         np.testing.assert_array_equal(weights, np.ones_like(weights))

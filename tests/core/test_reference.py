@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from repro.core.reference import (
     ReferenceSelection,
@@ -11,6 +12,11 @@ from repro.core.reference import (
     select_references_pivoted_qr,
     select_references_random,
 )
+from repro.sim.collector import CollectionProtocol, RssCollector
+from repro.sim.specs import build_scenario, scenario_names
+
+#: Every registered scenario plus the smallest and largest square sites.
+QR_SITES = [*scenario_names(), "square-3m", "square-20m"]
 
 
 def low_rank_matrix(links=8, cells=40, rank=4, seed=0, noise=0.0):
@@ -75,6 +81,23 @@ class TestPivotedQr:
         )
         assert qr_res <= worst + 1e-12
 
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("site", QR_SITES)
+    def test_matches_lapack_pivoted_qr(self, site, seed):
+        """The numpy port picks LAPACK's pivots (scipy is the oracle),
+        including the leftover columns past a site's rank."""
+        protocol = CollectionProtocol(samples_per_cell=3, empty_room_samples=5)
+        collector = RssCollector(build_scenario(site, seed=seed), protocol, seed=seed)
+        matrix = collector.collect_full_survey(0.0).survey.matrix
+        count = min(10, matrix.shape[1])
+        centered = matrix - matrix.mean(axis=1, keepdims=True)
+        _, r, pivots = scipy.linalg.qr(centered, mode="economic", pivoting=True)
+        selection = select_references_pivoted_qr(matrix, count)
+        np.testing.assert_array_equal(selection.cells, pivots[:count])
+        diag = np.abs(np.diag(r))[:count]
+        expected = np.pad(diag, (0, count - diag.size))
+        np.testing.assert_allclose(selection.scores, expected, rtol=1e-9, atol=1e-9)
+
     def test_invalid_count(self):
         with pytest.raises(ValueError):
             select_references_pivoted_qr(low_rank_matrix(), 0)
@@ -84,8 +107,9 @@ class TestPivotedQr:
 
 class TestGreedy:
     def test_agrees_with_qr_on_easy_instance(self):
-        """Greedy max-residual and pivoted QR implement the same criterion;
-        on a well-separated instance they pick the same set."""
+        """Within the matrix's rank, greedy max-residual and pivoted QR apply
+        the same criterion; on a well-separated instance they pick the same
+        set. Greedy stops at the numerical rank, so past it they differ."""
         matrix = low_rank_matrix(rank=3, seed=7)
         qr_cells = set(select_references_pivoted_qr(matrix, 3).cells.tolist())
         greedy_cells = set(select_references_greedy(matrix, 3).cells.tolist())

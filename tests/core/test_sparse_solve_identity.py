@@ -1,18 +1,17 @@
-"""A LoLi-IR update over the Reconstructor's CSR operators is bit-identical
+"""A LoLi-IR update over the Reconstructor's pair operators is bit-identical
 to the same update over the dense operator definitions.
 
 The dense twin is built from the original per-pair loops (dense ``G``/``H``
-and loop-built gate weights), so this pins both the sparse-from-birth
-operators and the vectorized gate weights to the answers the dense
-construction gave.
+and loop-built gate weights), so this pins both the pair operators and the
+vectorized gate weights to the answers the dense construction gave.
 """
 
 import numpy as np
 import pytest
-from scipy.sparse import issparse
 
 from repro.core.fingerprint import FingerprintMatrix
 from repro.core.loli_ir import LoliIrProblem
+from repro.core.operators import PairOperator
 from repro.core.reconstruction import ReconstructionConfig, Reconstructor
 from repro.sim.collector import CollectionProtocol, RssCollector
 from repro.sim.specs import build_scenario
@@ -60,11 +59,20 @@ def dense_twin(deployment, reconstructor, problem):
 
 def test_reconstructor_holds_no_dense_operator(update):
     _, reconstructor, refs, empty = update
-    assert issparse(reconstructor._continuity_op)
-    assert issparse(reconstructor._similarity_op)
     problem = reconstructor._build_problem(refs, empty)
-    assert issparse(problem.continuity_op)
-    assert issparse(problem.similarity_op)
+    operators = (
+        reconstructor._continuity_op,
+        reconstructor._similarity_op,
+        problem.continuity_op,
+        problem.similarity_op,
+    )
+    for operator in operators:
+        assert isinstance(operator, PairOperator)
+        # Only the pair ends: no array spans nodes × pairs.
+        pairs = operator.shape[operator.pair_axis]
+        arrays = [v for v in vars(operator).values() if isinstance(v, np.ndarray)]
+        assert arrays
+        assert all(array.shape == (pairs,) for array in arrays)
     for weights in (
         reconstructor._continuity_weights,
         reconstructor._similarity_weights,
