@@ -15,7 +15,7 @@ epoch at or before the query day.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -118,26 +118,32 @@ class FingerprintDatabase:
     before the requested day.
     """
 
-    _epochs: List[FingerprintMatrix] = field(default_factory=list)
-    _days: List[float] = field(default_factory=list)
+    # ``(days, epochs)`` as one pair of tuples, replaced by one assignment:
+    # a reader that takes the pair once never sees a half-added epoch.
+    _index: Tuple[Tuple[float, ...], Tuple[FingerprintMatrix, ...]] = ((), ())
     _version: int = 0
 
     def add(self, matrix: FingerprintMatrix) -> None:
         """Insert an epoch, keeping the database sorted by day.
 
-        Every insertion bumps :attr:`version`, which is how downstream
-        caches keyed on day→epoch resolution (e.g. the
-        :class:`~repro.core.pipeline.TafLoc` matcher cache) learn that
-        their lookups may now resolve differently.
+        The sorted days and epochs are rebuilt and swapped in together, so
+        a concurrent :meth:`at` resolves against the old pair or the new
+        one, never a mix of the two. Every insertion then bumps
+        :attr:`version`, which is how downstream caches keyed on day→epoch
+        resolution (e.g. the :class:`~repro.core.pipeline.TafLoc` matcher
+        cache) learn that their lookups may now resolve differently.
         """
-        if self._epochs and matrix.shape != self._epochs[0].shape:
+        days, epochs = self._index
+        if epochs and matrix.shape != epochs[0].shape:
             raise ValueError(
                 f"epoch shape {matrix.shape} does not match database shape "
-                f"{self._epochs[0].shape}"
+                f"{epochs[0].shape}"
             )
-        position = bisect.bisect_right(self._days, matrix.day)
-        self._days.insert(position, matrix.day)
-        self._epochs.insert(position, matrix)
+        position = bisect.bisect_right(days, matrix.day)
+        self._index = (
+            days[:position] + (matrix.day,) + days[position:],
+            epochs[:position] + (matrix,) + epochs[position:],
+        )
         self._version += 1
 
     @property
@@ -147,36 +153,39 @@ class FingerprintDatabase:
 
     def at(self, day: float) -> FingerprintMatrix:
         """Most recent epoch whose day is <= ``day``."""
-        if not self._epochs:
+        days, epochs = self._index
+        if not epochs:
             raise LookupError("fingerprint database is empty")
-        position = bisect.bisect_right(self._days, day) - 1
+        position = bisect.bisect_right(days, day) - 1
         if position < 0:
             raise LookupError(
                 f"no fingerprint epoch at or before day {day}; earliest is "
-                f"day {self._days[0]}"
+                f"day {days[0]}"
             )
-        return self._epochs[position]
+        return epochs[position]
 
     def latest(self) -> FingerprintMatrix:
-        if not self._epochs:
+        epochs = self._index[1]
+        if not epochs:
             raise LookupError("fingerprint database is empty")
-        return self._epochs[-1]
+        return epochs[-1]
 
     def initial(self) -> FingerprintMatrix:
-        if not self._epochs:
+        epochs = self._index[1]
+        if not epochs:
             raise LookupError("fingerprint database is empty")
-        return self._epochs[0]
+        return epochs[0]
 
     @property
     def epoch_count(self) -> int:
-        return len(self._epochs)
+        return len(self._index[1])
 
     @property
     def days(self) -> List[float]:
-        return list(self._days)
+        return list(self._index[0])
 
     def epochs(self) -> List[FingerprintMatrix]:
-        return list(self._epochs)
+        return list(self._index[1])
 
     def staleness(self, day: float) -> float:
         """Days elapsed since the epoch serving queries at ``day``."""
@@ -184,7 +193,7 @@ class FingerprintDatabase:
 
     def summary(self) -> Dict[str, float]:
         """Small diagnostic summary used by the examples and reports."""
-        if not self._epochs:
+        if not self._index[1]:
             return {"epochs": 0}
         latest = self.latest()
         return {

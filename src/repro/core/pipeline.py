@@ -169,7 +169,7 @@ class TafLoc:
     # ------------------------------------------------------------------
     # localization
     # ------------------------------------------------------------------
-    def matcher_for_day(self, day: float, *, refresh: bool = False) -> Matcher:
+    def matcher_for_day(self, day: float) -> Matcher:
         """The configured matcher on the freshest epoch for ``day``, cached.
 
         Matchers are cached per resolved epoch and invalidated whenever
@@ -177,15 +177,14 @@ class TafLoc:
         epoch can change which fingerprint serves a given day), so the
         steady-state query path — many localizations against the same
         epoch — never rebuilds a matcher (nor its template norms).
-        ``refresh=True`` forces a rebuild (the pre-cache behavior, kept for
-        benchmarking the rebuild cost and for callers that mutate matcher
-        state).
 
         The lookup tolerates a concurrent :meth:`update` (e.g. the serving
-        layer's background refresh scheduler appending an epoch while query
-        threads run): a query never sees a half-built cache entry — it
-        either reuses a complete matcher or builds its own — at worst
-        rebuilding one matcher redundantly around the epoch flip.
+        layer's background refresh scheduler adding an epoch while query
+        threads run): :meth:`FingerprintDatabase.at` resolves against the
+        database before the add or after it, never a half-added epoch, and
+        a query never sees a half-built cache entry — it either reuses a
+        complete matcher or builds its own — at worst rebuilding one
+        matcher redundantly around the epoch flip.
         """
         if self._matcher_cache_version != self.database.version:
             self._matcher_cache.clear()
@@ -194,7 +193,7 @@ class TafLoc:
         # Epochs are immutable and stay referenced by the database for its
         # lifetime, so id() is a stable key within one cache generation.
         key = id(fingerprint)
-        matcher = None if refresh else self._matcher_cache.get(key)
+        matcher = self._matcher_cache.get(key)
         if matcher is None:
             matcher = self._build_matcher(fingerprint)
             self._matcher_cache[key] = matcher

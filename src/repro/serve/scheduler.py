@@ -39,8 +39,10 @@ makes that policy explicit:
   (``cold="skip"``), or surfaces the error (``cold="raise"``).
 * :meth:`UpdateScheduler.start` runs ticks on a daemon thread against a
   day clock (e.g. :class:`SimClock`), while queries keep flowing on the
-  front-end threads: the refresh path appends an epoch and bumps the
-  database version, and the query path's matcher cache tolerates the
+  front-end threads: the refresh path adds an epoch (the database swaps
+  its sorted days and epochs in as one pair, so a concurrent lookup sees
+  the old database or the new one, never a half-added epoch) and bumps
+  the database version, and the query path's matcher cache tolerates the
   concurrent flip (see :meth:`repro.core.pipeline.TafLoc.matcher_for_day`).
 
 The scheduler only ever talks to the public service surface, so it runs

@@ -40,6 +40,15 @@ fleet live, handing off only the jump-hash-moved sites while queries
 keep answering. :meth:`ShardedService.health` reports per-shard liveness
 and per-site replica availability through the wire ``health`` method.
 
+**One failure policy.** What the router does when a worker does not
+answer is written once. ``_ask`` makes one call to one worker and
+returns ``_DOWN`` when the worker is down, its pipe breaks or it misses
+``call_timeout``; ``_trusted`` walks a site's live, unquarantined
+replicas in probe order; ``_fan_out`` sends one call to each of a set of
+replicas at once. Each schedules the respawn of every worker it finds
+down, and a lost call counts its timeout in one place (``_lost``).
+``_suspects`` is the one rule for which diverged replica to blame.
+
 **Bit-identity for any shard count.** Worker services derive every
 pipeline seed from ``(manager seed, spec fingerprint)`` — not from the
 shard layout — so the same site answers with the same bits whether it is
@@ -80,11 +89,12 @@ from __future__ import annotations
 import threading
 import warnings
 import weakref
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import (
     Any,
     Dict,
     Iterable,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -122,6 +132,10 @@ _READ_MODES = ("failover", "quorum")
 #: Longest a close waits for a shard's in-flight respawn (old worker
 #: stopped, new one spawned and warmed) before stopping it regardless.
 _RESPAWN_WAIT_S = 30.0
+
+#: What :meth:`ShardedService._ask` returns for a worker that could not
+#: answer (not ``None``: ``deregister`` answers ``None``, ``drift`` may).
+_DOWN = object()
 
 _JUMP_LCG = 2862933555777941757
 _MASK64 = (1 << 64) - 1
@@ -207,7 +221,21 @@ def replica_shards(site: str, shard_count: int, replicas: int) -> Tuple[int, ...
 
 @dataclass
 class RouterStats:
-    """Router-side fault accounting (surfaced through ``health``)."""
+    """Router-side fault accounting (surfaced through ``health``).
+
+    ``failovers``: reads served past the first replica, and fan-out retries.
+    ``timeouts``: worker calls that missed ``call_timeout``.
+    ``respawns``: replacement workers that warmed and rejoined.
+    ``respawn_failures``: replacement workers that failed to warm.
+    ``resizes``: completed :meth:`ShardedService.resize` calls.
+    ``scrubs``: completed :meth:`ShardedService.scrub` passes.
+    ``scrub_divergences``: scrubbed sites whose answers or digests diverged.
+    ``scrub_errors``: background scrub passes that raised.
+    ``read_divergences``: quorum reads whose replicas disagreed.
+    ``quarantines``: replicas pulled out of the read rotation.
+    ``repairs``: verified read-repairs plus replicas rebuilt by ``repair()``.
+    ``degraded_answers``: answers served stale from a snapshot.
+    """
 
     failovers: int = 0
     timeouts: int = 0
@@ -382,15 +410,9 @@ class _Shard:
                         f"within {timeout:g}s"
                     )
                 ok, result = self.connection.recv()
-            except (EOFError, BrokenPipeError, ConnectionResetError) as error:
-                self.dead = True
-                raise _ShardConnectionError(
-                    f"shard {self.index} pipe failed during {method!r}: "
-                    f"{error!r}"
-                ) from error
-            except WorkerTimeout:
+            except WorkerTimeout:  # a TimeoutError, so an OSError too
                 raise
-            except OSError as error:
+            except (EOFError, OSError) as error:
                 self.dead = True
                 raise _ShardConnectionError(
                     f"shard {self.index} pipe failed during {method!r}: "
@@ -679,19 +701,48 @@ class ShardedService:
         with self._quarantine_lock:
             return sorted(self._quarantined)
 
-    def _shard(self, site: str) -> _Shard:
-        """First *live, trusted* replica for ``site`` (primary when healthy)."""
-        order = self._replica_order(site)
-        for position, index in enumerate(order):
+    def _trusted(self, site: str) -> Iterator[Tuple[int, int]]:
+        """``(position, index)`` of each live, unquarantined replica of
+        ``site`` in probe order; each dead replica passed on the way has
+        its respawn scheduled."""
+        for position, index in enumerate(self._replica_order(site)):
             shard = self._shards[index]
             if not shard.alive():
                 self._ensure_respawn(shard)
-                continue
-            if self._is_quarantined(site, index):
-                continue
+            elif not self._is_quarantined(site, index):
+                yield position, index
+
+    def _lost(self, shard: _Shard, error: BaseException) -> None:
+        """A call lost to a broken pipe or a hung worker: count the
+        timeout, schedule the respawn."""
+        if isinstance(error, WorkerTimeout):
+            self.router_stats.timeouts += 1
+        self._ensure_respawn(shard)
+
+    def _ask(
+        self, shard: _Shard, method: str, *args, timeout: Optional[float] = None
+    ) -> Any:
+        """One call to one worker, or :data:`_DOWN` when it cannot answer.
+
+        A worker already down is not asked; one whose pipe breaks or that
+        misses ``timeout`` is lost. Either way its respawn is scheduled.
+        """
+        if not shard.alive():
+            self._ensure_respawn(shard)
+            return _DOWN
+        try:
+            return shard.call(method, *args, timeout=timeout)
+        except (_ShardConnectionError, WorkerTimeout) as error:
+            self._lost(shard, error)
+            return _DOWN
+
+    def _shard(self, site: str) -> _Shard:
+        """First *live, trusted* replica for ``site`` (primary when healthy)."""
+        order = self._replica_order(site)
+        for position, index in self._trusted(site):
             if position:
                 self.router_stats.failovers += 1
-            return shard
+            return self._shards[index]
         raise ServiceUnavailable(
             f"site {site!r}: all {len(order)} replica shard(s) "
             f"{list(order)} are down or quarantined (recovery in progress)"
@@ -707,24 +758,15 @@ class ShardedService:
         """
         order = self._replica_order(site)
         last_error: Optional[BaseException] = None
-        for position, index in enumerate(order):
+        for position, index in self._trusted(site):
+            if position:
+                self.router_stats.failovers += 1
             shard = self._shards[index]
-            if not shard.alive():
-                self._ensure_respawn(shard)
-                continue
-            if self._is_quarantined(site, index):
-                continue
             try:
-                if position:
-                    self.router_stats.failovers += 1
                 return shard.call(method, *args, timeout=timeout)
-            except _ShardConnectionError as error:
+            except (_ShardConnectionError, WorkerTimeout) as error:
                 last_error = error
-                self._ensure_respawn(shard)
-            except WorkerTimeout as error:
-                last_error = error
-                self.router_stats.timeouts += 1
-                self._ensure_respawn(shard)
+                self._lost(shard, error)
         raise ServiceUnavailable(
             f"site {site!r}: all {len(order)} replica shard(s) "
             f"{list(order)} are unavailable"
@@ -769,7 +811,7 @@ class ShardedService:
                 try:
                     out = shard.call(method, *args, **kwargs)
                 except (_ShardConnectionError, WorkerTimeout) as error:
-                    self._ensure_respawn(shard)
+                    self._lost(shard, error)
                     raise ServiceUnavailable(
                         f"replica shard {index} failed mid-{method} for site "
                         f"{site!r}; its respawn will restore the last "
@@ -812,14 +854,9 @@ class ShardedService:
                 shard.respawn()
                 shard.dead = True  # not ready until warm
             try:
-                with shard.lock:
-                    shard.connection.send(("warm", (list(shard.specs),), {}))
-                    ok, result = shard.connection.recv()
-                if not ok:
-                    raise result
+                shard.call("warm", list(shard.specs))
             except Exception:  # noqa: BLE001 - recovery is best-effort
-                self.router_stats.respawn_failures += 1
-                shard.dead = True
+                self.router_stats.respawn_failures += 1  # stays marked down
                 return
             shard.dead = False
             self.router_stats.respawns += 1
@@ -915,15 +952,12 @@ class ShardedService:
                 for index in range(old_count, shards)
                 if new_owned[index]
             ]
-            if warm_calls:
-                results, failed, failure = self._pipelined_raw(warm_calls)
-                if failure is not None:
-                    raise failure
-                if failed:
-                    raise ServiceUnavailable(
-                        "resize aborted: a worker died while warming the "
-                        "new layout"
-                    )
+            try:
+                self._pipelined(warm_calls)
+            except ServiceUnavailable as error:
+                raise ServiceUnavailable(
+                    "resize aborted: a worker died while warming the new layout"
+                ) from error
             # Flip the routing table — this is the atomic cutover.
             self.assignment = {
                 site: new_replicas[site][0] for site in self._specs
@@ -935,10 +969,7 @@ class ShardedService:
                 shard = self._shards[index]
                 lost = [s for s in list(shard.specs) if s not in new_owned[index]]
                 for site in lost:
-                    try:
-                        shard.call("deregister", site)
-                    except (_ShardConnectionError, WorkerTimeout):
-                        self._ensure_respawn(shard)
+                    if self._ask(shard, "deregister", site) is _DOWN:
                         break
                     shard.specs.pop(site, None)
             # Retire through _close_shards, which waits out an in-flight
@@ -1123,32 +1154,31 @@ class ShardedService:
             parts.append((name, array.dtype.str, array.shape, array.tobytes()))
         return tuple(parts)
 
-    def _quorum_read(self, site: str, method: str, args: tuple) -> Any:
-        order = self._replica_order(site)
-        live = [
-            index
-            for index in order
-            if self._shards[index].alive()
-            and not self._is_quarantined(site, index)
-        ]
-        if len(live) <= 1:
-            # Nothing to cross-check against: plain failover semantics
-            # (which also handles the respawn bookkeeping).
-            return self._call_route(
-                site, method, *args, timeout=self.call_timeout
-            )
-        calls = [(self._shards[index], method, args) for index in live]
-        results, failed, failure = self._pipelined_raw(calls)
+    def _fan_out(
+        self, indices: Sequence[int], method: str, args: tuple
+    ) -> List[Tuple[int, Any]]:
+        """One pipelined call to each replica, as ``(index, answer)`` pairs.
+
+        A contract error re-raises (it is identical on honest replicas); a
+        replica lost in transit is left out and its respawn scheduled.
+        """
+        results, failed, failure = self._pipelined_raw(
+            [(self._shards[index], method, args) for index in indices]
+        )
         if failure is not None:
-            raise failure  # contract error — identical on honest replicas
-        lost = set(failed)
-        good = [
+            raise failure
+        for position in failed:
+            self._ensure_respawn(self._shards[indices[position]])
+        return [
             (index, results[position])
-            for position, index in enumerate(live)
-            if position not in lost
+            for position, index in enumerate(indices)
+            if position not in failed
         ]
-        for position in lost:
-            self._ensure_respawn(self._shards[live[position]])
+
+    def _quorum_read(self, site: str, method: str, args: tuple) -> Any:
+        live = [index for _, index in self._trusted(site)]
+        # One live replica has nothing to cross-check: plain failover.
+        good = self._fan_out(live, method, args) if len(live) > 1 else []
         if not good:
             return self._call_route(
                 site, method, *args, timeout=self.call_timeout
@@ -1164,42 +1194,46 @@ class ShardedService:
         """Each replica's digest verdict (its live state vs. the snapshot)."""
         verdicts: Dict[int, Optional[bool]] = {}
         for index in indices:
-            shard = self._shards[index]
-            try:
-                verdict = shard.call(
-                    "verify_site", site, timeout=self.call_timeout
-                )
-                verdicts[index] = verdict.get("matches")
-            except (_ShardConnectionError, WorkerTimeout):
-                self._ensure_respawn(shard)
-                verdicts[index] = None
+            verdict = self._ask(
+                self._shards[index], "verify_site", site, timeout=self.call_timeout
+            )
+            verdicts[index] = None if verdict is _DOWN else verdict.get("matches")
         return verdicts
 
-    def _arbitrate(
-        self,
+    @classmethod
+    def _suspects(
+        cls,
         good: List[Tuple[int, Any]],
         verdicts: Dict[int, Optional[bool]],
-    ) -> Tuple[int, Any]:
-        """Pick the authoritative ``(replica, answer)`` among diverged ones.
+    ) -> Tuple[Any, List[int]]:
+        """Arbitrate diverged answers: the one to trust, the replicas to blame.
 
         A replica whose live digest matches the snapshot digest is
         trusted outright (the snapshot is checksummed, content-addressed
         state). Without digest evidence, the largest bit-identical group
         wins; ties go to the replica earliest in probe order (the
-        primary-most one).
+        primary-most one). Blame needs evidence: a replica whose answer
+        differs is blamed only when the chosen answer is digest-verified,
+        when it holds a strict majority, or when the replica's own digest
+        check failed; an unarbitrable tie (two replicas, no snapshot)
+        blames no one.
         """
-        trusted = [
-            (index, result)
-            for index, result in good
-            if verdicts.get(index) is True
-        ]
-        if trusted:
-            return trusted[0]
         groups: Dict[Tuple, List[int]] = {}
         for slot, (_, result) in enumerate(good):
-            groups.setdefault(self._result_signature(result), []).append(slot)
-        slots = min(groups.values(), key=lambda group: (-len(group), group[0]))
-        return good[slots[0]]
+            groups.setdefault(cls._result_signature(result), []).append(slot)
+        verified = [
+            slot for slot, (index, _) in enumerate(good) if verdicts.get(index) is True
+        ]
+        largest = min(groups.values(), key=lambda group: (-len(group), group[0]))
+        answer = good[verified[0] if verified else largest[0]][1]
+        agreeing = groups[cls._result_signature(answer)]
+        can_blame = bool(verified) or len(agreeing) * 2 > len(good)
+        return answer, [
+            index
+            for slot, (index, _) in enumerate(good)
+            if slot not in agreeing
+            and (can_blame or verdicts.get(index) is False)
+        ]
 
     def _resolve_divergence(
         self, site: str, good: List[Tuple[int, Any]]
@@ -1207,31 +1241,17 @@ class ShardedService:
         """Replicas disagreed bit-for-bit: arbitrate, repair, answer true.
 
         The client always receives the verified (or majority) answer —
-        the divergence costs repair work, never a wrong response. Blame
-        needs evidence: a replica is quarantined only when the chosen
-        answer is digest-verified, when it holds a strict majority, or
-        when the replica's own digest check failed; an unarbitrable tie
-        (two replicas, no snapshot) answers primary-side and alarms only.
+        the divergence costs repair work, never a wrong response. Only
+        the replicas :meth:`_suspects` blames are quarantined; an
+        unarbitrable tie (two replicas, no snapshot) answers primary-side
+        and alarms only.
         """
         self.router_stats.read_divergences += 1
         verdicts = self._verify_replicas(site, [index for index, _ in good])
-        answer_index, answer = self._arbitrate(good, verdicts)
-        answer_sig = self._result_signature(answer)
-        majority = sum(
-            1
-            for _, result in good
-            if self._result_signature(result) == answer_sig
-        )
-        can_blame = (
-            verdicts.get(answer_index) is True or majority * 2 > len(good)
-        )
-        for index, result in good:
-            if index == answer_index:
-                continue
-            diverged = self._result_signature(result) != answer_sig
-            if diverged and (can_blame or verdicts.get(index) is False):
-                self._quarantine(site, index)
-                self._repair_replica(site, index)
+        answer, suspects = self._suspects(good, verdicts)
+        for index in suspects:
+            self._quarantine(site, index)
+            self._repair_replica(site, index)
         return answer
 
     def _repair_replica(self, site: str, index: int) -> bool:
@@ -1245,13 +1265,10 @@ class ShardedService:
         truth available).
         """
         shard = self._shards[index]
-        try:
-            shard.call("repair", site)
-            verdict = shard.call("verify_site", site, timeout=self.call_timeout)
-        except (_ShardConnectionError, WorkerTimeout):
-            self._ensure_respawn(shard)
+        if self._ask(shard, "repair", site) is _DOWN:
             return False
-        if verdict.get("matches") is False:
+        verdict = self._ask(shard, "verify_site", site, timeout=self.call_timeout)
+        if verdict is _DOWN or verdict.get("matches") is False:
             return False  # still diverged: stays quarantined for the scrub
         self._unquarantine(site, index)
         self.router_stats.repairs += 1
@@ -1422,32 +1439,14 @@ class ShardedService:
                 self._ensure_respawn(shard)
         if not live:
             return {"site": site, "status": "skipped"}
-        try:
-            summary = self._shards[live[0]].call(
-                "site_summary", site, timeout=self.call_timeout
-            )
-        except (_ShardConnectionError, WorkerTimeout):
-            self._ensure_respawn(self._shards[live[0]])
-            return {"site": site, "status": "skipped"}
-        day = summary.get("last_day")
-        if day is None:
-            return {"site": site, "status": "skipped"}  # cold site
-        rss = self._scrub_workload(site, float(day), frames)
-        calls = [
-            (self._shards[index], "query_batch", (site, rss, float(day)))
-            for index in live
-        ]
-        results, failed, failure = self._pipelined_raw(calls)
-        if failure is not None:
-            raise failure
-        lost = set(failed)
-        good = [
-            (live[position], results[position])
-            for position in range(len(live))
-            if position not in lost
-        ]
-        for position in lost:
-            self._ensure_respawn(self._shards[live[position]])
+        summary = self._ask(
+            self._shards[live[0]], "site_summary", site, timeout=self.call_timeout
+        )
+        if summary is _DOWN or summary.get("last_day") is None:
+            return {"site": site, "status": "skipped"}  # lost, or a cold site
+        day = float(summary["last_day"])
+        rss = self._scrub_workload(site, day, frames)
+        good = self._fan_out(live, "query_batch", (site, rss, day))
         if not good:
             return {"site": site, "status": "skipped"}
         verdicts = self._verify_replicas(site, [index for index, _ in good])
@@ -1462,24 +1461,7 @@ class ShardedService:
         # (corruption in state the probe didn't exercise).
         self.router_stats.scrub_divergences += 1
         if len(signatures) > 1:
-            answer_index, answer = self._arbitrate(good, verdicts)
-            answer_sig = self._result_signature(answer)
-            majority = sum(
-                1
-                for _, result in good
-                if self._result_signature(result) == answer_sig
-            )
-            can_blame = (
-                verdicts.get(answer_index) is True
-                or majority * 2 > len(good)
-            )
-            suspects = [
-                index
-                for index, result in good
-                if index != answer_index
-                and self._result_signature(result) != answer_sig
-                and (can_blame or verdicts.get(index) is False)
-            ]
+            suspects = self._suspects(good, verdicts)[1]
         else:
             suspects = bad_digest
         quarantined = repaired = 0
@@ -1549,33 +1531,20 @@ class ShardedService:
         """Every live replica's digest verdict for ``site``."""
         rows: Dict[str, object] = {}
         for index in self._replica_order(site):
-            shard = self._shards[index]
-            if not shard.alive():
-                self._ensure_respawn(shard)
-                rows[str(index)] = None
-                continue
-            try:
-                rows[str(index)] = shard.call(
-                    "verify_site", site, timeout=self.call_timeout
-                )
-            except (_ShardConnectionError, WorkerTimeout):
-                self._ensure_respawn(shard)
-                rows[str(index)] = None
+            row = self._ask(
+                self._shards[index], "verify_site", site, timeout=self.call_timeout
+            )
+            rows[str(index)] = None if row is _DOWN else row
         return {"site": site, "replicas": rows}
 
     def repair(self, site: str) -> Dict[str, object]:
         """Rebuild ``site`` from authoritative state on every live replica."""
         rows: Dict[str, object] = {}
         for index in self._replica_order(site):
-            shard = self._shards[index]
-            if not shard.alive():
-                self._ensure_respawn(shard)
+            row = self._ask(self._shards[index], "repair", site)
+            if row is _DOWN:
                 continue
-            try:
-                rows[str(index)] = shard.call("repair", site)
-            except (_ShardConnectionError, WorkerTimeout):
-                self._ensure_respawn(shard)
-                continue
+            rows[str(index)] = row
             self._unquarantine(site, index)
             self.router_stats.repairs += 1
         return {"site": site, "replicas": rows}
@@ -1598,15 +1567,8 @@ class ShardedService:
             "total_bytes": 0,
         }
         for shard in self._shards:
-            if not shard.alive():
-                self._ensure_respawn(shard)
-                continue
-            try:
-                report = shard.call("snapshot_maintenance")
-            except (_ShardConnectionError, WorkerTimeout):
-                self._ensure_respawn(shard)
-                continue
-            if not report.get("enabled"):
+            report = self._ask(shard, "snapshot_maintenance")
+            if report is _DOWN or not report.get("enabled"):
                 continue
             totals["enabled"] = True
             for key in (
@@ -1650,13 +1612,8 @@ class ShardedService:
         """
         totals = ServiceStats()
         for shard in self._shards:
-            if not shard.alive():
-                self._ensure_respawn(shard)
-                continue
-            try:
-                stats = shard.call("service_stats", timeout=self.call_timeout)
-            except (_ShardConnectionError, WorkerTimeout):
-                self._ensure_respawn(shard)
+            stats = self._ask(shard, "service_stats", timeout=self.call_timeout)
+            if stats is _DOWN:
                 continue
             totals.queries += stats.queries
             totals.frames += stats.frames
@@ -1696,12 +1653,7 @@ class ShardedService:
         uncovered: List[str] = []
         for site in self._site_order:
             order = self.replicas[site]
-            available = sum(
-                1
-                for index in order
-                if self._shards[index].alive()
-                and not self._is_quarantined(site, index)
-            )
+            available = sum(1 for _ in self._trusted(site))
             if available == 0:
                 uncovered.append(site)
             site_rows[site] = {
@@ -1727,7 +1679,6 @@ class ShardedService:
             )
         elif down or quarantined:
             status = "degraded"
-        stats = self.router_stats
         return {
             "status": status,
             "sites": len(self._site_order),
@@ -1736,20 +1687,7 @@ class ShardedService:
             "down_shards": down,
             "shards": shard_rows,
             "site_replicas": site_rows,
-            "router": {
-                "failovers": stats.failovers,
-                "timeouts": stats.timeouts,
-                "respawns": stats.respawns,
-                "respawn_failures": stats.respawn_failures,
-                "resizes": stats.resizes,
-                "scrubs": stats.scrubs,
-                "scrub_divergences": stats.scrub_divergences,
-                "scrub_errors": stats.scrub_errors,
-                "read_divergences": stats.read_divergences,
-                "quarantines": stats.quarantines,
-                "repairs": stats.repairs,
-                "degraded_answers": stats.degraded_answers,
-            },
+            "router": asdict(self.router_stats),
             "anti_entropy": {
                 "read_mode": self.read_mode,
                 "degraded_mode": self.degraded_mode,

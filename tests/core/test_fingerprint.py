@@ -1,5 +1,7 @@
 """Unit tests for the fingerprint-matrix containers."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -143,6 +145,47 @@ class TestFingerprintDatabase:
         assert db.days == [0.0, 10.0, 20.0]
         assert db.initial().day == 0.0
         assert db.latest().day == 20.0
+
+    @pytest.mark.parametrize(
+        "held, added, probes",
+        [
+            ((0.0, 10.0), 11.0, (12.0, 10.5)),  # appended after the last
+            ((0.0, 20.0), 10.0, (15.0, 25.0)),  # inserted between two
+        ],
+    )
+    def test_a_read_during_add_sees_the_old_or_the_new_epochs(
+        self, held, added, probes
+    ):
+        """An update thread adds epochs while query threads read: a read
+        that lands between any two lines of ``add`` must resolve against
+        the whole old database or the whole new one."""
+        db = FingerprintDatabase()
+        for day in held:
+            db.add(self.make(day))
+        before = {probe: db.at(probe) for probe in probes}
+        seen = []
+
+        def read_between_lines(frame, event, arg):
+            if event == "line":
+                seen.append({probe: db.at(probe) for probe in probes})
+            return read_between_lines
+
+        def on_call(frame, event, arg):
+            if frame.f_code is FingerprintDatabase.add.__code__:
+                return read_between_lines
+            return None
+
+        previous = sys.gettrace()
+        sys.settrace(on_call)
+        try:
+            db.add(self.make(added))
+        finally:
+            sys.settrace(previous)
+        after = {probe: db.at(probe) for probe in probes}
+        assert seen  # the hook ran inside add
+        for reads in seen:
+            for probe, epoch in reads.items():
+                assert epoch is before[probe] or epoch is after[probe]
 
     def test_shape_consistency_enforced(self):
         db = FingerprintDatabase()

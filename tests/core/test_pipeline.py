@@ -104,19 +104,13 @@ class TestMatcherCache:
         assert system.matcher_for_day(10.0) is early
         assert system.matcher_for_day(45.0) is late
 
-    def test_refresh_forces_rebuild(self, system):
-        system.commission(0.0)
-        cached = system.matcher_for_day(0.0)
-        rebuilt = system.matcher_for_day(0.0, refresh=True)
-        assert rebuilt is not cached
-        # The rebuild replaces the cache entry.
-        assert system.matcher_for_day(0.0) is rebuilt
-
     def test_cached_matcher_answers_match_fresh_build(self, system, scenario):
         system.commission(0.0)
         trace = RssCollector(scenario, seed=12).live_trace(0.0, [4, 44, 84])
         cached = system.matcher_for_day(0.0).match_batch(trace.rss)
-        fresh = system.matcher_for_day(0.0, refresh=True).match_batch(trace.rss)
+        fresh = system._build_matcher(system.database.at(0.0)).match_batch(
+            trace.rss
+        )
         np.testing.assert_array_equal(cached.cells, fresh.cells)
         np.testing.assert_array_equal(cached.positions, fresh.positions)
 

@@ -243,161 +243,271 @@ def _passing_records():
     }
 
 
+# Each row names its own id, so adding or removing a row renames no other.
+# These ids are the names the rows have always been reported under; a new
+# row takes ``section-dotted.path-value`` (e.g. ``trust-scrub.quarantined-1``).
 @pytest.mark.parametrize(
     ("section", "path", "value", "field"),
     [
-        ("resilience", ("kills", "1", "mismatched_queries"), 1, "kills.1"),
-        ("resilience", ("kills", "2", "recovered"), False, "kills.2"),
-        (
+        pytest.param(
+            "resilience",
+            ("kills", "1", "mismatched_queries"),
+            1,
+            "kills.1",
+            id="resilience-path0-1-kills.1",
+        ),
+        pytest.param(
+            "resilience",
+            ("kills", "2", "recovered"),
+            False,
+            "kills.2",
+            id="resilience-path1-False-kills.2",
+        ),
+        pytest.param(
             "resilience",
             ("kills", "0", "snapshots_restored"),
             0,
             "snapshots_restored",
+            id="resilience-path2-0-snapshots_restored",
         ),
-        ("resilience", ("resize", "bit_identical"), False, "resize"),
-        ("frontend", ("error_contract", "tcp"), False, "error_contract.tcp"),
-        (
+        pytest.param(
+            "resilience",
+            ("resize", "bit_identical"),
+            False,
+            "resize",
+            id="resilience-path3-False-resize",
+        ),
+        pytest.param(
+            "frontend",
+            ("error_contract", "tcp"),
+            False,
+            "error_contract.tcp",
+            id="frontend-path4-False-error_contract.tcp",
+        ),
+        pytest.param(
             "frontend",
             ("per_site", "square-3m", "tcp_bit_identical"),
             False,
             "tcp_bit_identical",
+            id="frontend-path5-False-tcp_bit_identical",
         ),
-        (
+        pytest.param(
             "trust",
             ("silent_corruption", "detected"),
             False,
             "silent_corruption",
+            id="trust-path6-False-silent_corruption",
         ),
-        ("trust", ("degraded", "stale"), False, "stale=False"),
-        ("trust", ("snapshot_soak", "files_pruned"), 0, "files_pruned"),
-        (
+        pytest.param(
+            "trust",
+            ("degraded", "stale"),
+            False,
+            "stale=False",
+            id="trust-path7-False-stale=False",
+        ),
+        pytest.param(
+            "trust",
+            ("snapshot_soak", "files_pruned"),
+            0,
+            "files_pruned",
+            id="trust-path8-0-files_pruned",
+        ),
+        pytest.param(
             "loadgen",
             ("perturbation", "quiet", "failed_queries"),
             1,
             "quiet perturbation phase",
+            id="loadgen-path9-1-quiet perturbation phase",
         ),
-        ("engine", ("fig5", "bit_identical"), False, "differ from serial"),
-        (
+        pytest.param(
+            "engine",
+            ("fig5", "bit_identical"),
+            False,
+            "differ from serial",
+            id="engine-path10-False-differ from serial",
+        ),
+        pytest.param(
             "serving",
             ("per_site", "square-3m", "bit_identical"),
             False,
             "serving answers differ",
+            id="serving-path11-False-serving answers differ",
         ),
-        (
+        pytest.param(
             "frontend_async",
             ("per_site", "square-3m", "bit_identical"),
             False,
             "asyncio front-end answers differ",
+            id="frontend_async-path12-False-asyncio front-end answers differ",
         ),
-        (
+        pytest.param(
             "frontend_async",
             ("trace_streaming", "lengths", "192", "bit_identical"),
             False,
             "asyncio front-end answers differ",
+            id="frontend_async-path13-False-asyncio front-end answers differ",
         ),
-        (
+        pytest.param(
             "frontend_async",
             ("trace_streaming", "scores_bit_identical"),
             False,
             "asyncio front-end answers differ",
+            id="frontend_async-path14-False-asyncio front-end answers differ",
         ),
-        (
+        pytest.param(
             "frontend_async",
             ("trace_streaming", "buffering_flat"),
             False,
             "peak buffering grows",
+            id="frontend_async-path15-False-peak buffering grows",
         ),
-        ("loadgen", ("plan_bit_identical",), False, "not bit-identical"),
-        (
+        pytest.param(
+            "loadgen",
+            ("plan_bit_identical",),
+            False,
+            "not bit-identical",
+            id="loadgen-path16-False-not bit-identical",
+        ),
+        pytest.param(
             "loadgen",
             ("saturation", "http-shards1", "max_sustained_qps"),
             0.0,
             "http-shards1 sustained no rate",
+            id="loadgen-path17-0.0-http-shards1 sustained no rate",
         ),
-        (
+        pytest.param(
             "loadgen",
             ("saturation", "http-shards1", "sustained", "mismatched_queries"),
             1,
             "http-shards1 sustained run had failed/mismatched",
+            id="loadgen-path18-1-http-shards1 sustained run had failed/mismatched",
         ),
-        (
+        pytest.param(
             "loadgen",
             ("closed_loop", "mismatched_queries"),
             1,
             "closed-loop run had failed/mismatched",
+            id="loadgen-path19-1-closed-loop run had failed/mismatched",
         ),
-        (
+        pytest.param(
             "loadgen",
             ("perturbation", "refresh", "mismatched_queries"),
             1,
             "refresh perturbation phase",
+            id="loadgen-path20-1-refresh perturbation phase",
         ),
-        (
+        pytest.param(
             "loadgen",
             ("soak", "pipelines_built"),
             2,
             "more than one pipeline",
+            id="loadgen-path21-2-more than one pipeline",
         ),
-        (
+        pytest.param(
             "loadgen",
             ("soak", "query_phase", "failed_queries"),
             1,
             "soak query phase had failures",
+            id="loadgen-path22-1-soak query phase had failures",
         ),
-        ("loadgen", ("slo_ms",), "50", "$.loadgen.slo_ms"),
-        ("engine", ("fig3", "bit_identical"), False, "differ from serial"),
-        (
+        pytest.param(
+            "loadgen",
+            ("slo_ms",),
+            "50",
+            "$.loadgen.slo_ms",
+            id="loadgen-path23-50-$.loadgen.slo_ms",
+        ),
+        pytest.param(
+            "engine",
+            ("fig3", "bit_identical"),
+            False,
+            "differ from serial",
+            id="engine-path24-False-differ from serial",
+        ),
+        pytest.param(
             "frontend",
             ("per_site", "square-3m", "http_bit_identical"),
             False,
             "http_bit_identical",
+            id="frontend-path25-False-http_bit_identical",
         ),
-        (
+        pytest.param(
             "frontend",
             ("shards", "1", "bit_identical"),
             False,
             "shards.1.bit_identical",
+            id="frontend-path26-False-shards.1.bit_identical",
         ),
-        ("resilience", ("zero_loss",), False, "queries lost"),
-        ("resilience", ("recovered",), False, "did not recover"),
-        (
+        pytest.param(
+            "resilience",
+            ("zero_loss",),
+            False,
+            "queries lost",
+            id="resilience-path27-False-queries lost",
+        ),
+        pytest.param(
+            "resilience",
+            ("recovered",),
+            False,
+            "did not recover",
+            id="resilience-path28-False-did not recover",
+        ),
+        pytest.param(
             "resilience",
             ("snapshots_restored",),
             0,
             "resilience: snapshots_restored is 0",
+            id="resilience-path29-0-resilience: snapshots_restored is 0",
         ),
-        (
+        pytest.param(
             "resilience",
             ("snapshot_warm_bit_identical",),
             False,
             "snapshot-warmed fleet answers differ",
+            id="resilience-path30-False-snapshot-warmed fleet answers differ",
         ),
-        (
+        pytest.param(
             "resilience",
             ("post_recovery_bit_identical",),
             False,
             "post_recovery_bit_identical",
+            id="resilience-path31-False-post_recovery_bit_identical",
         ),
-        (
+        pytest.param(
             "trust",
             ("corruption_episode", "failed_queries"),
             1,
             "leaked wrong or failed answers",
+            id="trust-path32-1-leaked wrong or failed answers",
         ),
-        (
+        pytest.param(
             "trust",
             ("corruption_episode", "repairs"),
             0,
             "not detected, quarantined and repaired",
+            id="trust-path33-0-not detected, quarantined and repaired",
         ),
-        ("trust", ("scrub", "quarantined"), 1, "scrub after repair"),
-        (
+        pytest.param(
+            "trust",
+            ("scrub", "quarantined"),
+            1,
+            "scrub after repair",
+            id="trust-path34-1-scrub after repair",
+        ),
+        pytest.param(
             "trust",
             ("silent_corruption", "post_scrub_bit_identical"),
             False,
             "post_scrub_bit_identical",
+            id="trust-path35-False-post_scrub_bit_identical",
         ),
-        ("trust", ("snapshot_soak", "bounded"), False, "unbounded"),
+        pytest.param(
+            "trust",
+            ("snapshot_soak", "bounded"),
+            False,
+            "unbounded",
+            id="trust-path36-False-unbounded",
+        ),
     ],
 )
 def test_each_serving_gate_names_its_field(section, path, value, field):
